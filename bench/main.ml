@@ -26,12 +26,10 @@
    select (e.g. `dune exec bench/main.exe fig7 fig8 ablate`). The
    evaluation matrix fans out across a domain pool: `--jobs N` sets the
    worker count (default: GMT_JOBS or the recommended domain count);
-   results are byte-identical for every N. `--kernel jit|decoded|legacy`
-   selects the simulator execution engine for the matrix (default jit;
-   all three produce identical metrics). `--smoke` runs a tiny-fuel
-   3-kernel matrix through the pool plus a three-engine simulator
+   results are byte-identical for every N. `--smoke` runs a tiny-fuel
+   3-kernel matrix through the pool plus a legacy-vs-jit simulator
    equivalence check (CI's @smoke alias). `--bench-smoke` validates the
-   committed BENCH_fig8.json and re-proves one cell's three-engine
+   committed BENCH_fig8.json and re-proves one cell's legacy-vs-jit
    equivalence (CI's @bench-smoke alias, folded into @smoke).
    `--telemetry-smoke` validates the committed BENCH_service.json
    (schema, percentile ordering, the telemetry overhead gate) and lints
@@ -40,9 +38,9 @@
    artifact's farm section (shard-scaling, single-flight collapse and
    shard-kill gates) and runs a live two-shard TCP failover drill
    (CI's @farm-smoke alias, folded into @smoke). `fig8`
-   additionally times every cell under all three engines and writes
-   BENCH_fig8.json with per-cell wall-clock, simulated cycles, and the
-   per-engine comparison column. *)
+   additionally times every cell's simulation under the legacy oracle
+   and the jit engine and writes BENCH_fig8.json with per-cell
+   wall-clock, simulated cycles, and the per-engine comparison column. *)
 
 module V = Gmt_core.Velocity
 module W = Gmt_workloads.Workload
@@ -56,21 +54,18 @@ module Sim = Gmt_machine.Sim
 type row = V.row
 
 let jobs : int option ref = ref None
-let kernel : Gmt_machine.Sim.kernel ref = ref `Jit
 let matrix_wall = ref 0.0
-
-let kernel_name () = Gmt_machine.Sim.kernel_name !kernel
 
 let rows : row list Lazy.t =
   lazy
     (let ws = Suite.all () in
      let j = match !jobs with Some j -> j | None -> Pool.default_jobs () in
-     Printf.eprintf "[bench] measuring %d x %d matrix (jobs=%d, kernel=%s)...\n%!"
+     Printf.eprintf "[bench] measuring %d x %d matrix (jobs=%d)...\n%!"
        (List.length ws)
        (List.length V.matrix_kinds)
-       j (kernel_name ());
+       j;
      let t0 = Unix.gettimeofday () in
-     let rs = V.run_matrix ~jobs:j ~kernel:!kernel ws in
+     let rs = V.run_matrix ~jobs:j ws in
      matrix_wall := Unix.gettimeofday () -. t0;
      rs)
 
@@ -162,7 +157,7 @@ let fig7 () =
     \ reduction ks with GREMIO, to 26.3%; adpcmenc/GREMIO had no\n\
     \ opportunity; >99% of mesa & gromacs memory syncs removed)"
 
-(* ------------- three-engine wall-clock comparison (fig8) ------------ *)
+(* -------------- engine wall-clock comparison (fig8) -------------- *)
 
 (* One Fig-8 cell timed under each execution engine on the same compiled
    program. The engines must agree bit-for-bit — [Sim.result] is compared
@@ -205,7 +200,7 @@ let kernel_compare_cells ws =
                   ~mem_size:w.W.mem_size
           in
           (* [Sim.all_kernels] is oracle-first: the legacy result is the
-             reference the other engines are checked against. Wall clock
+             reference the jit engine is checked against. Wall clock
              is the min over three runs — the simulator is deterministic,
              so spread between runs is allocator/GC noise, and the min is
              the cleanest estimate of the engine's cost. *)
@@ -316,7 +311,7 @@ let write_fig8_json rs kcells =
       m.V.queue_peak;
     String.concat ", " (List.rev !nz)
   in
-  (* Per-engine wall-clock column from the three-way comparison pass. *)
+  (* Per-engine wall-clock column from the legacy-vs-jit comparison. *)
   let kernels_json bench config =
     match
       List.find_opt
@@ -387,10 +382,8 @@ let write_fig8_json rs kcells =
   in
   let kgeo = kernel_geomean kcells in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"gmt-bench-fig8/4\",\n";
+  Buffer.add_string buf "  \"schema\": \"gmt-bench-fig8/5\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" j);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"kernel\": %S,\n" (kernel_name ()));
   Buffer.add_string buf
     (Printf.sprintf "  \"total_wall_s\": %.6f,\n" !matrix_wall);
   Buffer.add_string buf
@@ -453,15 +446,15 @@ let fig8 () =
     "Execution-engine comparison: Sim.run wall-clock per cell (identical \
      results)";
   hr ();
-  Printf.printf "%-12s %-12s | %10s %10s %10s | %8s\n" "benchmark" "config"
-    "legacy(ms)" "decoded(ms)" "jit(ms)" "jit-gain";
+  Printf.printf "%-12s %-12s | %10s %10s | %8s\n" "benchmark" "config"
+    "legacy(ms)" "jit(ms)" "jit-gain";
   hr ();
   List.iter
     (fun kc ->
       let ms kn = 1e3 *. Option.value ~default:0.0 (List.assoc_opt kn kc.kc_wall) in
-      let l = ms "legacy" and d = ms "decoded" and j = ms "jit" in
-      Printf.printf "%-12s %-12s | %10.2f %10.2f %10.2f | %7.1fx\n"
-        kc.kc_bench kc.kc_config l d j
+      let l = ms "legacy" and j = ms "jit" in
+      Printf.printf "%-12s %-12s | %10.2f %10.2f | %7.1fx\n" kc.kc_bench
+        kc.kc_config l j
         (if j > 0.0 then l /. j else 0.0))
     kcells;
   hr ();
@@ -696,9 +689,9 @@ let compile_bench () =
 
 (* --smoke: a seconds-scale end-to-end pass for CI (the dune @smoke
    alias): three kernels through the full matrix on a 2-worker domain
-   pool with tiny fuel, plus a three-engine (legacy/decoded/jit)
-   simulator equivalence check and a jobs-determinism check. Exits
-   non-zero on any mismatch. *)
+   pool with tiny fuel, plus a legacy-vs-jit simulator equivalence
+   check and a jobs-determinism check. Exits non-zero on any
+   mismatch. *)
 let smoke () =
   let ws = List.map Suite.find [ "adpcmdec"; "ks"; "mpeg2enc" ] in
   let fuel = 2_000_000 in
@@ -723,15 +716,10 @@ let smoke () =
         Gmt_machine.Sim.run ~fuel ~kernel ~init_regs:w.W.reference.W.regs
           ~init_mem:w.W.reference.W.mem mc c.V.mtp ~mem_size:w.W.mem_size
       in
-      let reference = run `Legacy in
-      List.iter
-        (fun k ->
-          if run k <> reference then begin
-            Printf.eprintf "[smoke] FAIL: %s %s/legacy results differ\n"
-              w.W.name (Sim.kernel_name k);
-            exit 1
-          end)
-        [ `Decoded; `Jit ])
+      if run `Jit <> run `Legacy then begin
+        Printf.eprintf "[smoke] FAIL: %s jit/legacy results differ\n" w.W.name;
+        exit 1
+      end)
     ws;
   (* One traced cell through the observability layer: the emitted Chrome
      trace and metrics JSON must parse and have the expected shape, and
@@ -802,7 +790,7 @@ let smoke () =
   Obs.reset ();
   Printf.printf
     "[smoke] ok: %d kernels x %d configs, pool jobs=2 deterministic, \
-     jit==decoded==legacy, traced cell JSON valid (%.2fs)\n"
+     jit==legacy, traced cell JSON valid (%.2fs)\n"
     (List.length ws)
     (List.length V.matrix_kinds)
     (Unix.gettimeofday () -. t0)
@@ -845,10 +833,10 @@ let verify_matrix () =
     (Unix.gettimeofday () -. t0)
 
 (* --bench-smoke: validate the committed BENCH_fig8.json — it must
-   parse, carry the current schema, record a per-engine wall-clock entry
-   for every engine, and record a jit-vs-legacy geomean at or above the
-   5x floor — then re-prove on one live cell that all three engines
-   still produce bit-identical results. The JSON checks read the
+   parse, carry the current schema, record in every cell a wall-clock
+   entry for exactly the engines of [Sim.all_kernels], and record a
+   jit-vs-legacy geomean at or above the 5x floor — then re-prove on one
+   live cell that jit and legacy still produce bit-identical results. The JSON checks read the
    committed artifact (deterministic in CI); only the equivalence gate
    simulates. Runs under CI's @bench-smoke alias, folded into @smoke. *)
 let bench_smoke path =
@@ -869,24 +857,26 @@ let bench_smoke path =
   | Error e -> fail "%s malformed: %s" path e
   | Ok j ->
     (match Json.member "schema" j with
-    | Some (Json.Str "gmt-bench-fig8/4") -> ()
-    | _ -> fail "%s lacks schema gmt-bench-fig8/4" path);
+    | Some (Json.Str "gmt-bench-fig8/5") -> ()
+    | _ -> fail "%s lacks schema gmt-bench-fig8/5" path);
     (match Json.member "kernel_geomean_speedup" j with
     | Some (Json.Num g) when g >= 5.0 -> ()
     | Some (Json.Num g) ->
       fail "recorded jit-vs-legacy geomean %.2fx is below the 5x floor" g
     | _ -> fail "%s lacks kernel_geomean_speedup" path);
     (match Json.member "cells" j with
-    | Some (Json.Arr (cell :: _ as cs)) ->
-      (match Json.member "kernels" cell with
-      | Some (Json.Obj ks) ->
-        List.iter
-          (fun k ->
-            let name = Sim.kernel_name k in
-            if not (List.mem_assoc name ks) then
-              fail "first cell lacks a %S wall-clock entry" name)
-          Sim.all_kernels
-      | _ -> fail "first cell lacks a kernels object");
+    | Some (Json.Arr (_ :: _ as cs)) ->
+      let want = List.sort compare (List.map Sim.kernel_name Sim.all_kernels) in
+      List.iter
+        (fun c ->
+          match Json.member "kernels" c with
+          | Some (Json.Obj ks) ->
+            let got = List.sort compare (List.map fst ks) in
+            if got <> want then
+              fail "a cell's kernels are {%s}, want exactly {%s}"
+                (String.concat ", " got) (String.concat ", " want)
+          | _ -> fail "a cell lacks a kernels object")
+        cs;
       let expected =
         List.length (Suite.all ()) * List.length V.matrix_kinds
       in
@@ -916,13 +906,8 @@ let bench_smoke path =
     Sim.run ~kernel ~init_regs:w.W.reference.W.regs
       ~init_mem:w.W.reference.W.mem mc c.V.mtp ~mem_size:w.W.mem_size
   in
-  let reference = run `Legacy in
-  List.iter
-    (fun k ->
-      if run k <> reference then
-        fail "ks/gremio+coco: %s engine disagrees with legacy"
-          (Sim.kernel_name k))
-    [ `Decoded; `Jit ];
+  if run `Jit <> run `Legacy then
+    fail "ks/gremio+coco: jit engine disagrees with legacy";
   Printf.printf
     "[bench-smoke] ok: %s schema valid, geomean floor met, ks cell \
      identical across %d engines (%.2fs)\n"
@@ -2205,7 +2190,7 @@ let pool_section () =
     List.map
       (fun lvl ->
         let t0 = Unix.gettimeofday () in
-        ignore (V.run_matrix ~jobs:lvl ~kernel:!kernel ws);
+        ignore (V.run_matrix ~jobs:lvl ws);
         let dt = Unix.gettimeofday () -. t0 in
         Printf.printf "matrix --jobs %d: %.2fs\n%!" lvl dt;
         (lvl, dt))
@@ -2341,14 +2326,6 @@ let () =
     | "--pool-smoke" :: rest -> "--pool-smoke-marker" :: parse rest
     | "--jobs" :: n :: rest ->
       jobs := Some (parse_jobs n);
-      parse rest
-    | "--kernel" :: k :: rest ->
-      (match Sim.kernel_of_string k with
-      | Some kk -> kernel := kk
-      | None ->
-        Printf.eprintf "bench: --kernel expects jit|decoded|legacy, got %S\n"
-          k;
-        exit 2);
       parse rest
     | "--trace" :: f :: rest ->
       trace_out := Some f;

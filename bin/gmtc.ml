@@ -15,10 +15,10 @@
      gmtc serve --listen 0.0.0.0:7070  ... also on TCP (the farm transport)
      gmtc remote run ks -t gremio      compile via the daemon (or fall
                                        back to local when none listens)
-     gmtc farm run ks --shards a=h:1,b=h:2
+     gmtc remote run ks --socket a=h:1,b=h:2
                                        route by cache fingerprint over a
                                        consistent-hash ring of shards
-     gmtc farm stats --shards ...      per-shard farm health
+     gmtc remote stats --socket ...    per-shard farm health
 
    Anywhere a benchmark name is accepted, a path to a textual GMT-IR
    file ([*.gmt]) or [-] (stdin) works too.
@@ -72,10 +72,10 @@ let resolve_workload name =
       Printf.eprintf "gmtc: %s\n" msg;
       exit unknown_name_exit
 
-let resolve_technique = function
-  | "gremio" -> V.Gremio
-  | "dswp" -> V.Dswp
-  | s ->
+let resolve_technique s =
+  match Render.technique_of_name s with
+  | Some t -> t
+  | None ->
     Printf.eprintf "gmtc: unknown technique %S (known: gremio, dswp)\n" s;
     exit unknown_name_exit
 
@@ -142,31 +142,6 @@ let fuel_opt_arg =
         ~doc:
           "Budget of interpreter/simulator steps; exhausting it aborts the \
            measurement with exit code 5 instead of running forever.")
-
-let kernel_conv =
-  let parse s =
-    match Gmt_machine.Sim.kernel_of_string (String.trim s) with
-    | Some k -> Ok k
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf "unknown kernel %S (known: jit, decoded, legacy)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf k -> Format.pp_print_string ppf (Gmt_machine.Sim.kernel_name k)
-    )
-
-let kernel_arg =
-  Arg.(
-    value
-    & opt (some kernel_conv) None
-    & info [ "kernel" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: $(b,jit) (closure-compiled, the default), \
-           $(b,decoded) or $(b,legacy). Reports, metrics and cached \
-           artifacts are byte-identical for any choice — the slower \
-           engines are kept as equivalence oracles.")
 
 (* Print exactly what a Render outcome says and exit with its code —
    the one funnel both local and remote execution drain through. *)
@@ -328,7 +303,7 @@ let apply_inject inject (c : V.compiled) =
       exit 1)
 
 let check_cmd =
-  let run bench tech coco threads json inject kernel =
+  let run bench tech coco threads json inject =
     let w = resolve_workload bench in
     let tech = resolve_technique tech in
     if json || inject <> None then begin
@@ -353,7 +328,7 @@ let check_cmd =
           (List.length diags) (Verify.render diags);
       if diags <> [] then exit 4
     end
-    else finish_outcome (Render.check ?kernel ~technique:tech ~coco ~threads w)
+    else finish_outcome (Render.check ~technique:tech ~coco ~threads w)
   in
   let json_arg =
     Arg.(
@@ -371,12 +346,12 @@ let check_cmd =
           def-before-use); exit 4 if any check rejects.")
     Term.(
       const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg $ json_arg
-      $ inject_arg $ kernel_arg)
+      $ inject_arg)
 
 (* ------------------------------ run ------------------------------ *)
 
 let run_cmd =
-  let run bench tech coco threads no_verify jobs fuel kernel trace metrics =
+  let run bench tech coco threads no_verify jobs fuel trace metrics =
     let w = resolve_workload bench in
     let technique = resolve_technique tech in
     let jobs = resolve_jobs jobs in
@@ -384,8 +359,8 @@ let run_cmd =
     (* The single-threaded baseline and the multi-threaded cell are
        independent; Render.run fans them out over the domain pool. *)
     finish_outcome
-      (Render.run ~jobs ?fuel ?kernel ~verify:(not no_verify) ~technique
-         ~coco ~threads w)
+      (Render.run ~jobs ?fuel ~verify:(not no_verify) ~technique ~coco
+         ~threads w)
   in
   Cmd.v
     (Cmd.info "run"
@@ -394,8 +369,7 @@ let run_cmd =
           performance.")
     Term.(
       const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg
-      $ no_verify_arg $ jobs_arg $ fuel_opt_arg $ kernel_arg $ trace_arg
-      $ metrics_arg)
+      $ no_verify_arg $ jobs_arg $ fuel_opt_arg $ trace_arg $ metrics_arg)
 
 (* ------------------------------ dot ------------------------------ *)
 
@@ -438,17 +412,17 @@ let dot_cmd =
 (* ----------------------------- sweep ----------------------------- *)
 
 let sweep_cmd =
-  let run bench max_threads jobs fuel kernel trace metrics =
+  let run bench max_threads jobs fuel trace metrics =
     let w = resolve_workload bench in
     let jobs = resolve_jobs jobs in
     with_obs trace metrics @@ fun () ->
-    finish_outcome (Render.sweep ~jobs ?fuel ?kernel ~max_threads w)
+    finish_outcome (Render.sweep ~jobs ?fuel ~max_threads w)
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep thread counts and report communication.")
     Term.(
       const run $ bench_arg $ threads_arg $ jobs_arg $ fuel_opt_arg
-      $ kernel_arg $ trace_arg $ metrics_arg)
+      $ trace_arg $ metrics_arg)
 
 (* ----------------------------- export ---------------------------- *)
 
@@ -961,17 +935,37 @@ let serve_cmd =
 
 (* The client resolves names/files locally (same exits 2/3 as offline),
    ships canonical GMT-IR text, and falls back to running the identical
-   Render code in-process when nothing listens on the socket — so remote
-   output is byte-identical to offline output, daemon or not. The
-   fallback is loud: a one-line stderr warning plus a [client.fallback]
+   Render code in-process when no daemon answers — so remote output is
+   byte-identical to offline output, daemon or not. The fallback is
+   loud: a one-line stderr warning plus a [client.fallback]
    event/counter, never a silent mode switch.
+
+   [--socket] lists one endpoint or several, and every request goes
+   through [Farm.request]: it routes to the shard owning the request's
+   cache fingerprint on a consistent-hash ring and fails over along the
+   ring when a shard is down. With one endpoint the ring is that one
+   daemon.
 
    With [--trace], the request carries a fresh trace id; the daemon
    ships its per-request stage spans back and [Client.request] re-records
    them here, so the written file holds the client's [remote.<op>] span
    and the server's decode→…→encode children stitched into one Perfetto
    timeline. *)
-let remote_finish ~socket ~trace ~metrics ~op ~fallback req =
+
+let endpoints_arg =
+  Arg.(
+    value
+    & opt (list string) [ "/tmp/gmtd.sock" ]
+    & info [ "socket" ] ~docv:"[NAME=]ENDPOINT,..."
+        ~env:(Cmd.Env.info "GMTD_SOCKET")
+        ~doc:
+          "The gmtd daemon(s) to use, comma-separated. Each endpoint is a \
+           Unix socket path or $(b,host:port), optionally named \
+           $(b,NAME=ENDPOINT); a bare endpoint names itself, and ring \
+           placement depends only on the names. One endpoint is a single \
+           daemon; several form a consistent-hash farm.")
+
+let remote_finish ~specs ~key ~trace ~metrics ~op ~fallback req =
   with_obs trace metrics @@ fun () ->
   let req =
     if trace = None then req
@@ -982,12 +976,12 @@ let remote_finish ~socket ~trace ~metrics ~op ~fallback req =
   in
   let reply =
     Gmt_obs.Obs.span ~cat:"client" ("remote." ^ op) (fun () ->
-        Client.request ~socket req)
+        Farm.request (Farm.of_specs specs) ~key req)
   in
   match reply with
-  | Ok o -> finish_outcome o
-  | Error `No_daemon ->
-    prerr_string (Client.warn_fallback ~socket ());
+  | Ok (o, _shard) -> finish_outcome o
+  | Error `No_shard ->
+    prerr_string (Client.warn_fallback ~socket:(String.concat "," specs) ());
     flush stderr;
     finish_outcome (fallback ())
   | Error (`Busy msg) ->
@@ -998,32 +992,44 @@ let remote_finish ~socket ~trace ~metrics ~op ~fallback req =
     Printf.eprintf "gmtc: remote: %s\n" msg;
     exit 1
 
+(* run/check route by the cache fingerprint, so a cell's artifact and
+   its shard coincide. An unknown technique has no fingerprint: it
+   routes by program digest, and whichever side answers reports it with
+   exit 3, as offline gmtc does. *)
+let route_key tech ~coco ~threads ~gmt =
+  match Render.technique_of_name tech with
+  | Some technique -> Farm.compile_key ~technique ~coco ~threads ~canonical:gmt
+  | None -> Farm.sweep_key ~canonical:gmt
+
 let remote_run_cmd =
-  let run bench tech coco threads fuel kernel socket trace metrics =
+  let run bench tech coco threads fuel specs trace metrics =
     let w = resolve_workload bench in
     let gmt = Text.print w in
-    remote_finish ~socket ~trace ~metrics ~op:"run"
+    remote_finish ~specs
+      ~key:(route_key tech ~coco ~threads ~gmt)
+      ~trace ~metrics ~op:"run"
       ~fallback:(fun () ->
         let technique = resolve_technique tech in
-        Render.run ~jobs:1 ?fuel ?kernel ~technique ~coco ~threads w)
-      (Client.run_request ~gmt ~technique:tech ~coco ~threads ?fuel ?kernel ())
+        Render.run ~jobs:1 ?fuel ~technique ~coco ~threads w)
+      (Client.run_request ~gmt ~technique:tech ~coco ~threads ?fuel ())
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "Like $(b,gmtc run), but served by a gmtd daemon when one \
-          listens on the socket (local fallback otherwise). With \
-          $(b,--trace), the daemon's per-stage spans are stitched into \
-          the written trace.")
+         "Like $(b,gmtc run), but served by gmtd when a daemon answers \
+          (local fallback otherwise). With $(b,--trace), the daemon's \
+          per-stage spans are stitched into the written trace.")
     Term.(
       const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg
-      $ fuel_opt_arg $ kernel_arg $ socket_arg $ trace_arg $ metrics_arg)
+      $ fuel_opt_arg $ endpoints_arg $ trace_arg $ metrics_arg)
 
 let remote_check_cmd =
-  let run bench tech coco threads socket trace metrics =
+  let run bench tech coco threads specs trace metrics =
     let w = resolve_workload bench in
     let gmt = Text.print w in
-    remote_finish ~socket ~trace ~metrics ~op:"check"
+    remote_finish ~specs
+      ~key:(route_key tech ~coco ~threads ~gmt)
+      ~trace ~metrics ~op:"check"
       ~fallback:(fun () ->
         let technique = resolve_technique tech in
         Render.check ~technique ~coco ~threads w)
@@ -1033,42 +1039,64 @@ let remote_check_cmd =
     (Cmd.info "check" ~doc:"Like $(b,gmtc check), served by gmtd.")
     Term.(
       const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg
-      $ socket_arg $ trace_arg $ metrics_arg)
+      $ endpoints_arg $ trace_arg $ metrics_arg)
 
 let remote_sweep_cmd =
-  let run bench max_threads fuel kernel socket trace metrics =
+  let run bench max_threads fuel specs trace metrics =
     let w = resolve_workload bench in
     let gmt = Text.print w in
-    remote_finish ~socket ~trace ~metrics ~op:"sweep"
-      ~fallback:(fun () -> Render.sweep ~jobs:1 ?fuel ?kernel ~max_threads w)
-      (Client.sweep_request ~gmt ~max_threads ?fuel ?kernel ())
+    (* A sweep touches one fingerprint per thread count; routing by the
+       program digest warms one shard with all of them. *)
+    remote_finish ~specs ~key:(Farm.sweep_key ~canonical:gmt) ~trace ~metrics
+      ~op:"sweep"
+      ~fallback:(fun () -> Render.sweep ~jobs:1 ?fuel ~max_threads w)
+      (Client.sweep_request ~gmt ~max_threads ?fuel ())
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Like $(b,gmtc sweep), served by gmtd.")
     Term.(
-      const run $ bench_arg $ threads_arg $ fuel_opt_arg $ kernel_arg
-      $ socket_arg $ trace_arg $ metrics_arg)
+      const run $ bench_arg $ threads_arg $ fuel_opt_arg $ endpoints_arg
+      $ trace_arg $ metrics_arg)
+
+(* A failed round trip to one daemon: print why and return the exit
+   code. *)
+let rpc_failed ~socket = function
+  | `No_daemon ->
+    Printf.eprintf "gmtc: no daemon at %s\n" socket;
+    1
+  | `Busy msg ->
+    prerr_string msg;
+    Render.exit_busy
+  | `Protocol msg ->
+    Printf.eprintf "gmtc: remote: %s\n" msg;
+    1
 
 let remote_ping_cmd =
-  let run socket =
-    match Client.ping ~socket with
-    | Ok version -> Printf.printf "gmtd %s at %s\n" version socket
-    | Error `No_daemon ->
-      Printf.eprintf "gmtc: no daemon at %s\n" socket;
-      exit 1
-    | Error (`Busy msg) ->
-      prerr_string msg;
-      exit Render.exit_busy
-    | Error (`Protocol msg) ->
-      Printf.eprintf "gmtc: remote: %s\n" msg;
-      exit 1
+  let run specs =
+    (* One line per endpoint; a failure exits with the first failing
+       code once every endpoint has been tried. *)
+    let code =
+      List.fold_left
+        (fun code ((s : FarmRouter.shard), r) ->
+          let socket = s.FarmRouter.endpoint in
+          match r with
+          | Ok version ->
+            Printf.printf "gmtd %s at %s\n" version socket;
+            code
+          | Error e ->
+            let c = rpc_failed ~socket e in
+            if code = 0 then c else code)
+        0
+        (Farm.ping (Farm.of_specs specs))
+    in
+    if code <> 0 then exit code
   in
   Cmd.v
-    (Cmd.info "ping" ~doc:"Report the protocol version of a listening gmtd.")
-    Term.(const run $ socket_arg)
+    (Cmd.info "ping"
+       ~doc:"Report the protocol version of each listening gmtd.")
+    Term.(const run $ endpoints_arg)
 
 (* ------------------------- stats rendering ------------------------- *)
-
 
 let jmember k j = Json.member k j
 
@@ -1169,158 +1197,11 @@ let render_stats ~socket j =
   | _ -> ());
   Buffer.contents buf
 
-let stats_rpc ~socket =
-  match Client.rpc ~socket Client.stats_request with
-  | Ok j -> j
-  | Error `No_daemon ->
-    Printf.eprintf "gmtc: no daemon at %s\n" socket;
-    exit 1
-  | Error (`Busy msg) ->
-    prerr_string msg;
-    exit Render.exit_busy
-  | Error (`Protocol msg) ->
-    Printf.eprintf "gmtc: remote: %s\n" msg;
-    exit 1
-
-let remote_stats_cmd =
-  let run socket json prometheus =
-    let j = stats_rpc ~socket in
-    if json then print_endline (Json.to_string j)
-    else if prometheus then print_string (jstr "prometheus" j)
-    else print_string (render_stats ~socket j)
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the raw gmtd-stats/2 frame as JSON.")
-  in
-  let prometheus_arg =
-    Arg.(
-      value & flag
-      & info [ "prometheus" ]
-          ~doc:"Print the registry in Prometheus text-exposition format.")
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Report a listening gmtd's cache counters, latency percentiles, \
-          per-stage breakdown and recent events (default human-readable; \
-          $(b,--json) for the raw frame, $(b,--prometheus) for scrape \
-          text).")
-    Term.(const run $ socket_arg $ json_arg $ prometheus_arg)
-
-let remote_cmd =
-  Cmd.group
-    (Cmd.info "remote"
-       ~doc:
-         "Execute compile requests against a gmtd daemon; responses are \
-          byte-identical to the offline commands, and when no daemon \
-          listens the client compiles locally (with a stderr warning).")
-    [
-      remote_run_cmd; remote_check_cmd; remote_sweep_cmd; remote_ping_cmd;
-      remote_stats_cmd;
-    ]
-
-(* ------------------------------ farm ------------------------------ *)
-
-let shards_arg =
-  Arg.(
-    non_empty & opt (list string) []
-    & info [ "shards" ] ~docv:"SPEC,..."
-        ~env:(Cmd.Env.info "GMTD_SHARDS")
-        ~doc:
-          "Comma-separated farm members, each $(b,NAME=ENDPOINT) (endpoint \
-           = $(b,host:port) or a Unix socket path) or a bare endpoint that \
-           names itself. Ring placement depends only on the names.")
-
-(* The farm analogue of [remote_finish]: route by the cache fingerprint,
-   fail over along the ring, honor busy (exit 6). Only when every shard
-   refuses a connection does the client fall back to a local compile —
-   loudly, like [gmtc remote]. *)
-let farm_finish ~shards ~key ~trace ~metrics ~op ~fallback req =
-  with_obs trace metrics @@ fun () ->
-  let farm = Farm.of_specs shards in
-  let req =
-    if trace = None then req
-    else
-      Client.traced ~parent_span:("farm." ^ op)
-        ~trace_id:(Gmt_telemetry.Trace.genid ())
-        req
-  in
-  let reply =
-    Gmt_obs.Obs.span ~cat:"client" ("farm." ^ op) (fun () ->
-        Farm.request farm ~key req)
-  in
-  match reply with
-  | Ok (o, _shard) -> finish_outcome o
-  | Error `No_shard ->
-    Printf.eprintf
-      "gmtc: warning: no farm shard reachable; falling back to local \
-       compile\n";
-    flush stderr;
-    finish_outcome (fallback ())
-  | Error (`Busy msg) ->
-    prerr_string msg;
-    flush stderr;
-    exit Render.exit_busy
-  | Error (`Protocol msg) ->
-    Printf.eprintf "gmtc: farm: %s\n" msg;
-    exit 1
-
-let farm_run_cmd =
-  let run bench tech coco threads fuel kernel shards trace metrics =
-    let w = resolve_workload bench in
-    let gmt = Text.print w in
-    let technique = resolve_technique tech in
-    let key = Farm.compile_key ~technique ~coco ~threads ~canonical:gmt in
-    farm_finish ~shards ~key ~trace ~metrics ~op:"run"
-      ~fallback:(fun () ->
-        Render.run ~jobs:1 ?fuel ?kernel ~technique ~coco ~threads w)
-      (Client.run_request ~gmt ~technique:tech ~coco ~threads ?fuel ?kernel ())
-  in
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:
-         "Like $(b,gmtc remote run), routed to the shard owning the \
-          request's cache fingerprint on the consistent-hash ring, with \
-          failover to the next ring node when it is down.")
-    Term.(
-      const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg
-      $ fuel_opt_arg $ kernel_arg $ shards_arg $ trace_arg $ metrics_arg)
-
-let farm_check_cmd =
-  let run bench tech coco threads shards trace metrics =
-    let w = resolve_workload bench in
-    let gmt = Text.print w in
-    let technique = resolve_technique tech in
-    let key = Farm.compile_key ~technique ~coco ~threads ~canonical:gmt in
-    farm_finish ~shards ~key ~trace ~metrics ~op:"check"
-      ~fallback:(fun () -> Render.check ~technique ~coco ~threads w)
-      (Client.check_request ~gmt ~technique:tech ~coco ~threads ())
-  in
-  Cmd.v
-    (Cmd.info "check" ~doc:"Like $(b,gmtc remote check), ring-routed.")
-    Term.(
-      const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg
-      $ shards_arg $ trace_arg $ metrics_arg)
-
-let farm_sweep_cmd =
-  let run bench max_threads fuel kernel shards trace metrics =
-    let w = resolve_workload bench in
-    let gmt = Text.print w in
-    let key = Farm.sweep_key ~canonical:gmt in
-    farm_finish ~shards ~key ~trace ~metrics ~op:"sweep"
-      ~fallback:(fun () -> Render.sweep ~jobs:1 ?fuel ?kernel ~max_threads w)
-      (Client.sweep_request ~gmt ~max_threads ?fuel ?kernel ())
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Like $(b,gmtc remote sweep), routed by program digest so every \
-          sweep of one program warms the same shard.")
-    Term.(
-      const run $ bench_arg $ threads_arg $ fuel_opt_arg $ kernel_arg
-      $ shards_arg $ trace_arg $ metrics_arg)
+(* A stats-frame error as the farm view prints it. *)
+let shard_error = function
+  | `No_daemon -> "down"
+  | `Busy _ -> "busy"
+  | `Protocol msg -> msg
 
 (* One line per shard plus a farm aggregate; data straight out of each
    shard's stats frame (cache counters + telemetry counters). *)
@@ -1332,8 +1213,9 @@ let render_farm_stats results =
   List.iter
     (fun ((s : FarmRouter.shard), r) ->
       match r with
-      | Error e -> pf "shard %-10s %-24s DOWN (%s)\n" s.FarmRouter.name
-                     s.FarmRouter.endpoint e
+      | Error e ->
+        pf "shard %-10s %-24s DOWN (%s)\n" s.FarmRouter.name
+          s.FarmRouter.endpoint (shard_error e)
       | Ok j ->
         incr up;
         let hits, misses =
@@ -1377,71 +1259,110 @@ let render_farm_stats results =
     n !up !agg_req !agg_hits !agg_misses agg_rate;
   Buffer.contents buf
 
-let farm_stats_cmd =
-  let run shards json =
-    let farm = Farm.of_specs shards in
-    let results = Farm.stats farm in
-    if json then
-      print_endline
-        (Json.to_string
-           (Json.Obj
-              [
-                ("schema", Json.Str "gmt-farm-stats/1");
-                ( "shards",
-                  Json.Arr
-                    (List.map
-                       (fun ((s : FarmRouter.shard), r) ->
-                         Json.Obj
-                           [
-                             ("name", Json.Str s.FarmRouter.name);
-                             ("endpoint", Json.Str s.FarmRouter.endpoint);
-                             ( "stats",
-                               match r with
-                               | Ok j -> j
-                               | Error e ->
-                                 Json.Obj
-                                   [
-                                     ("ok", Json.Bool false);
-                                     ("err", Json.Str e);
-                                   ] );
-                           ])
-                       results) );
-              ]))
-    else print_string (render_farm_stats results)
+(* One endpoint is the single-daemon panel, and a failed round trip
+   exits; several are the per-shard farm view, where a shard that does
+   not answer is a DOWN line. *)
+let stats_view specs =
+  match Farm.stats (Farm.of_specs specs) with
+  | [ (s, r) ] -> (
+    let socket = s.FarmRouter.endpoint in
+    match r with
+    | Ok j -> `Daemon (socket, j)
+    | Error e -> exit (rpc_failed ~socket e))
+  | results -> `Farm results
+
+let remote_stats_cmd =
+  let run specs json prometheus =
+    match stats_view specs with
+    | `Daemon (socket, j) ->
+      if json then print_endline (Json.to_string j)
+      else if prometheus then print_string (jstr "prometheus" j)
+      else print_string (render_stats ~socket j)
+    | `Farm results ->
+      if json then
+        print_endline
+          (Json.to_string
+             (Json.Obj
+                [
+                  ("schema", Json.Str "gmt-farm-stats/1");
+                  ( "shards",
+                    Json.Arr
+                      (List.map
+                         (fun ((s : FarmRouter.shard), r) ->
+                           Json.Obj
+                             [
+                               ("name", Json.Str s.FarmRouter.name);
+                               ("endpoint", Json.Str s.FarmRouter.endpoint);
+                               ( "stats",
+                                 match r with
+                                 | Ok j -> j
+                                 | Error e ->
+                                   Json.Obj
+                                     [
+                                       ("ok", Json.Bool false);
+                                       ("err", Json.Str (shard_error e));
+                                     ] );
+                             ])
+                         results) );
+                ]))
+      else if prometheus then begin
+        prerr_endline "gmtc: --prometheus takes a single --socket endpoint";
+        exit Cmd.Exit.cli_error
+      end
+      else print_string (render_farm_stats results)
   in
   let json_arg =
     Arg.(
       value & flag
       & info [ "json" ]
-          ~doc:"Print every shard's raw stats frame under one JSON object.")
+          ~doc:
+            "Print the raw gmtd-stats/2 frame as JSON (with several \
+             endpoints, every shard's frame under one gmt-farm-stats/1 \
+             object).")
+  in
+  let prometheus_arg =
+    Arg.(
+      value & flag
+      & info [ "prometheus" ]
+          ~doc:
+            "Print the registry in Prometheus text-exposition format (one \
+             endpoint only).")
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Per-shard farm health: uptime, in-flight, hit rate, single-flight \
-          and replication counters, plus a farm aggregate line.")
-    Term.(const run $ shards_arg $ json_arg)
+         "Report a listening gmtd's cache counters, latency percentiles, \
+          per-stage breakdown and recent events (default human-readable; \
+          $(b,--json) for the raw frame, $(b,--prometheus) for scrape \
+          text). With several endpoints, one health line per shard \
+          (uptime, in-flight, hit rate, single-flight and replication \
+          counters) plus a farm aggregate line.")
+    Term.(const run $ endpoints_arg $ json_arg $ prometheus_arg)
 
-let farm_cmd =
+let remote_cmd =
   Cmd.group
-    (Cmd.info "farm"
+    (Cmd.info "remote"
        ~doc:
-         "Execute compile requests against a sharded gmtd farm: each \
-          request routes to the shard owning its cache fingerprint on a \
-          consistent-hash ring, fails over along the ring when a shard is \
-          down, and honors busy load-shedding (exit 6).")
-    [ farm_run_cmd; farm_check_cmd; farm_sweep_cmd; farm_stats_cmd ]
+         "Execute compile requests against gmtd: one daemon, or a sharded \
+          farm when $(b,--socket) lists several endpoints — each request \
+          then routes to the shard owning its cache fingerprint on a \
+          consistent-hash ring and fails over along the ring when a shard \
+          is down. Responses are byte-identical to the offline commands; \
+          a busy daemon's refusal exits 6, and when no daemon answers the \
+          client compiles locally (with a stderr warning).")
+    [
+      remote_run_cmd; remote_check_cmd; remote_sweep_cmd; remote_ping_cmd;
+      remote_stats_cmd;
+    ]
 
 (* ------------------------------- top ------------------------------- *)
 
 let top_cmd =
-  let run socket shards interval once =
-    (* With --shards the dashboard is the farm view: one line per shard
-       plus the aggregate, same data the single-daemon panel shows. *)
+  let run specs interval once =
     let frame () =
-      match shards with
-      | [] -> render_stats ~socket (stats_rpc ~socket)
-      | specs -> render_farm_stats (Farm.stats (Farm.of_specs specs))
+      match stats_view specs with
+      | `Daemon (socket, j) -> render_stats ~socket j
+      | `Farm results -> render_farm_stats results
     in
     let rec loop () =
       let s = frame () in
@@ -1457,14 +1378,6 @@ let top_cmd =
       end
     in
     loop ()
-  in
-  let top_shards_arg =
-    Arg.(
-      value & opt (list string) []
-      & info [ "shards" ] ~docv:"SPEC,..."
-          ~doc:
-            "Watch a farm instead of one daemon: comma-separated \
-             NAME=ENDPOINT shard list, one dashboard line per shard.")
   in
   let interval_arg =
     Arg.(
@@ -1484,9 +1397,9 @@ let top_cmd =
          "Live terminal dashboard over a gmtd daemon's stats plane: hit \
           rate, request latency percentiles (p50/p90/p99), per-stage \
           means, busy/timeout windows and recent events, refreshed every \
-          $(b,--interval) seconds. With $(b,--shards), one line per farm \
-          shard plus the aggregate instead.")
-    Term.(const run $ socket_arg $ top_shards_arg $ interval_arg $ once_arg)
+          $(b,--interval) seconds. With several $(b,--socket) endpoints, \
+          one line per farm shard plus the aggregate instead.")
+    Term.(const run $ endpoints_arg $ interval_arg $ once_arg)
 
 let () =
   let doc =
@@ -1498,4 +1411,4 @@ let () =
           (Cmd.info "gmtc" ~version:"1.0.0" ~doc)
           [ list_cmd; show_cmd; pdg_cmd; compile_cmd; check_cmd; run_cmd;
             sweep_cmd; dot_cmd; export_cmd; lint_cmd; fuzz_cmd; serve_cmd;
-            remote_cmd; farm_cmd; top_cmd ]))
+            remote_cmd; top_cmd ]))

@@ -284,7 +284,7 @@ let record_sim_metrics label (sim : Sim.result) =
 (* Shared measurement core: everything [measure] needs is the generated
    program plus the cell identity, so a cache-reconstructed {!artifact}
    measures through the same code as a fresh {!compiled}. *)
-let measure_prog ?fuel ?kernel ?expect ~technique ~coco ~n_threads
+let measure_prog ?fuel ?expect ~technique ~coco ~n_threads
     (w : Workload.t) (mtp : Mtprog.t) =
   let label = mt_label w technique coco in
   let mc = machine_config ~n_cores:(max 2 n_threads) technique in
@@ -294,7 +294,7 @@ let measure_prog ?fuel ?kernel ?expect ~technique ~coco ~n_threads
   (* Untimed run for instruction counts + the correctness check. *)
   let mt =
     Obs.span "verify.mt_interp" (fun () ->
-        Mt_interp.run ?fuel ?engine:kernel
+        Mt_interp.run ?fuel
           ~init_regs:w.reference.Workload.regs
           ~init_mem:w.reference.Workload.mem mtp
           ~queue_capacity:mc.Config.queue_size ~mem_size:w.mem_size)
@@ -312,7 +312,7 @@ let measure_prog ?fuel ?kernel ?expect ~technique ~coco ~n_threads
   (* Timed run for cycles. *)
   let sim =
     Obs.span "sim.run" (fun () ->
-        Sim.run ?fuel ?kernel ~init_regs:w.reference.Workload.regs
+        Sim.run ?fuel ~init_regs:w.reference.Workload.regs
           ~init_mem:w.reference.Workload.mem mc mtp ~mem_size:w.mem_size)
   in
   record_sim_metrics label sim;
@@ -340,20 +340,20 @@ let measure_prog ?fuel ?kernel ?expect ~technique ~coco ~n_threads
     queue_peak = sim.Sim.queue_peak;
   }
 
-let measure ?fuel ?kernel ?expect c =
-  measure_prog ?fuel ?kernel ?expect ~technique:c.technique ~coco:c.coco
+let measure ?fuel ?expect c =
+  measure_prog ?fuel ?expect ~technique:c.technique ~coco:c.coco
     ~n_threads:c.n_threads c.workload c.mtp
 
-let measure_artifact ?fuel ?kernel ?expect (a : artifact) =
-  measure_prog ?fuel ?kernel ?expect ~technique:a.a_technique ~coco:a.a_coco
+let measure_artifact ?fuel ?expect (a : artifact) =
+  measure_prog ?fuel ?expect ~technique:a.a_technique ~coco:a.a_coco
     ~n_threads:a.a_n_threads a.a_workload a.a_mtp
 
-let measure_single ?fuel ?kernel ?expect (w : Workload.t) =
+let measure_single ?fuel ?expect (w : Workload.t) =
   let mc = Config.itanium2 () in
   let label = w.Workload.name ^ "/single" in
   let sim =
     Obs.span "sim.run" (fun () ->
-        Sim.run_single ?fuel ?kernel ~init_regs:w.reference.Workload.regs
+        Sim.run_single ?fuel ~init_regs:w.reference.Workload.regs
           ~init_mem:w.reference.Workload.mem mc w.func ~mem_size:w.mem_size)
   in
   record_sim_metrics label sim;
@@ -378,11 +378,11 @@ let cell_name = function
   | Mt (t, coco) ->
     String.lowercase_ascii (technique_name t) ^ if coco then "+coco" else ""
 
-let measure_cell ?fuel ?kernel ?expect ?(n_threads = 2) kind w =
+let measure_cell ?fuel ?expect ?(n_threads = 2) kind w =
   match kind with
-  | Single -> measure_single ?fuel ?kernel ?expect w
+  | Single -> measure_single ?fuel ?expect w
   | Mt (tech, coco) ->
-    measure ?fuel ?kernel ?expect (compile ~n_threads ~coco tech w)
+    measure ?fuel ?expect (compile ~n_threads ~coco tech w)
 
 type timed = {
   metrics : metrics;
@@ -409,7 +409,7 @@ let matrix_kinds =
    and results are merged in a fixed order, so the output is
    byte-identical for every [jobs] value, including the inline [jobs=1]
    path. *)
-let run_matrix ?jobs ?fuel ?kernel (ws : Workload.t list) =
+let run_matrix ?jobs ?fuel (ws : Workload.t list) =
   (* Phase 0: one reference-interpreter run per workload (the oracle
      memory image + dynamic instruction count), itself fanned out, then
      shared by that workload's five cells instead of recomputed in each. *)
@@ -423,7 +423,7 @@ let run_matrix ?jobs ?fuel ?kernel (ws : Workload.t list) =
     let m, spans =
       Obs.collect (fun () ->
           Obs.span ~cat:"cell" ("cell:" ^ label) (fun () ->
-              measure_cell ?fuel ?kernel ~expect kind w))
+              measure_cell ?fuel ~expect kind w))
     in
     let passes =
       List.filter_map

@@ -145,10 +145,9 @@ type metrics = {
 
 (** Execute compiled code on the reference input and also check that its
     final memory matches the single-threaded run (skipped when [fuel] ran
-    out — smoke mode's tiny budgets stop mid-flight). [kernel] selects
-    the execution engine for both the untimed interpreter and the
-    simulator issue loop (default jit; see {!Gmt_machine.Sim}) —
-    results are byte-identical whichever engine runs.
+    out — smoke mode's tiny budgets stop mid-flight). Both the untimed
+    interpreter and the simulator run their jit engines; the legacy
+    oracles are reached directly through {!Gmt_machine.Sim.run}.
     [expect] supplies the precomputed reference-run oracle (final memory,
     dynamic instruction count) — {!run_matrix} computes it once per
     workload instead of once per cell.
@@ -156,7 +155,6 @@ type metrics = {
     @raise Deadlock on deadlock, with a per-thread blocked report. *)
 val measure :
   ?fuel:int ->
-  ?kernel:Gmt_machine.Sim.kernel ->
   ?expect:int array * int ->
   compiled ->
   metrics
@@ -164,7 +162,6 @@ val measure :
 (** {!measure} for a (possibly cache-reconstructed) {!artifact}. *)
 val measure_artifact :
   ?fuel:int ->
-  ?kernel:Gmt_machine.Sim.kernel ->
   ?expect:int array * int ->
   artifact ->
   metrics
@@ -172,7 +169,6 @@ val measure_artifact :
 (** Single-threaded reference numbers on the reference input. *)
 val measure_single :
   ?fuel:int ->
-  ?kernel:Gmt_machine.Sim.kernel ->
   ?expect:int array * int ->
   Workload.t ->
   metrics
@@ -195,7 +191,6 @@ val matrix_kinds : cell_kind list
 (** Compile (if multi-threaded) and measure one cell. *)
 val measure_cell :
   ?fuel:int ->
-  ?kernel:Gmt_machine.Sim.kernel ->
   ?expect:int array * int ->
   ?n_threads:int ->
   cell_kind ->
@@ -225,7 +220,6 @@ type row = {
 val run_matrix :
   ?jobs:int ->
   ?fuel:int ->
-  ?kernel:Gmt_machine.Sim.kernel ->
   Workload.t list ->
   row list
 

@@ -22,15 +22,17 @@ let create ?cooldown shards = { router = Router.create ?cooldown shards }
 
 (* Bare endpoints name themselves: ring placement then depends on the
    endpoint strings. Stable names (NAME=ENDPOINT) keep placement fixed
-   across port changes — the golden tests pin the named layout. *)
+   across port changes — the golden tests pin the named layout. A name
+   never holds a '/', so a Unix path containing '=' stays a bare
+   endpoint. *)
 let shard_of_spec spec =
   match String.index_opt spec '=' with
-  | Some i ->
+  | Some i when not (String.contains (String.sub spec 0 i) '/') ->
     {
       Router.name = String.sub spec 0 i;
       endpoint = String.sub spec (i + 1) (String.length spec - i - 1);
     }
-  | None -> { Router.name = spec; endpoint = spec }
+  | Some _ | None -> { Router.name = spec; endpoint = spec }
 
 let of_specs ?cooldown specs = create ?cooldown (List.map shard_of_spec specs)
 
@@ -63,29 +65,22 @@ let request t ~key req =
         go rest
       | Error (`Busy msg) -> Error (`Busy msg)
       | Error (`Protocol msg) ->
-        Error (`Protocol (Printf.sprintf "shard %s: %s" shard.name msg)))
+        (* Name the shard only when there is more than one to blame. *)
+        if Router.size t.router = 1 then Error (`Protocol msg)
+        else Error (`Protocol (Printf.sprintf "shard %s: %s" shard.name msg)))
   in
   go (Router.plan t.router ~key)
 
-(* Per-shard stats sweep (gmtc farm stats / top --shards): every shard
-   answers or is reported down; no failover — the caller wants the
+(* Per-shard sweeps (gmtc remote stats|ping, gmtc top): every shard
+   answers or reports its error; no failover — the caller wants the
    per-shard picture, not a merged one. *)
 let stats t =
   List.map
     (fun (shard : Router.shard) ->
-      match Client.rpc ~socket:shard.endpoint Client.stats_request with
-      | Ok j -> (shard, Ok j)
-      | Error `No_daemon -> (shard, Error "down")
-      | Error (`Busy _) -> (shard, Error "busy")
-      | Error (`Protocol msg) -> (shard, Error msg))
+      (shard, Client.rpc ~socket:shard.endpoint Client.stats_request))
     (Router.shards t.router)
 
 let ping t =
   List.map
-    (fun (shard : Router.shard) ->
-      match Client.ping ~socket:shard.endpoint with
-      | Ok v -> (shard, Ok v)
-      | Error `No_daemon -> (shard, Error "down")
-      | Error (`Busy _) -> (shard, Error "busy")
-      | Error (`Protocol msg) -> (shard, Error msg))
+    (fun (shard : Router.shard) -> (shard, Client.ping ~socket:shard.endpoint))
     (Router.shards t.router)

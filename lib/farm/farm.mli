@@ -14,8 +14,10 @@ type t
 val create : ?cooldown:float -> Router.shard list -> t
 
 (** [of_specs ["a=host:1"; "b=/tmp/b.sock"]] — each spec is
-    [NAME=ENDPOINT], or a bare endpoint that names itself (placement
-    then depends on the endpoint string; prefer stable names). *)
+    [NAME=ENDPOINT] (a [NAME] holds no ['/']), or a bare endpoint that
+    names itself (placement then depends on the endpoint string; prefer
+    stable names). A single bare endpoint is exactly the one-daemon
+    client. *)
 val of_specs : ?cooldown:float -> string list -> t
 
 val shard_of_spec : string -> Router.shard
@@ -40,16 +42,19 @@ type error = [ `Busy of string | `No_shard | `Protocol of string ]
 
 (** Route [req] by [key] through the failover plan. [Ok (outcome,
     shard_name)] identifies the serving shard; [`No_shard] means every
-    shard refused a connection. *)
+    shard refused a connection. On a ring of several shards a
+    [`Protocol] message names the shard that produced it. *)
 val request :
   t ->
   key:string ->
   Gmt_service.Client.req ->
   (Gmt_service.Render.outcome * string, [> error ]) result
 
-(** One stats (resp. ping) round per shard, no failover: the per-shard
-    picture for [gmtc farm stats] and [gmtc top --shards]. *)
+(** One stats (resp. ping) round per shard, in ring order, no failover:
+    the per-shard picture for [gmtc remote stats|ping] and [gmtc top]. *)
 val stats :
-  t -> (Router.shard * (Gmt_obs.Json.t, string) result) list
+  t ->
+  (Router.shard * (Gmt_obs.Json.t, Gmt_service.Client.error) result) list
 
-val ping : t -> (Router.shard * (string, string) result) list
+val ping :
+  t -> (Router.shard * (string, Gmt_service.Client.error) result) list

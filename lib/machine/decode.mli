@@ -10,9 +10,9 @@
     branch targets resolved to indices into the flat code array — so the
     hot loop is array indexing on immediates with no allocation.
 
-    Decoding is purely representational: the decoded kernel in {!Sim} is
-    byte-identical in results to the legacy list-walking kernel (QCheck
-    enforces this). *)
+    Decoding is purely representational: {!Jit} compiles from it, and
+    the jit kernel in {!Sim} is byte-identical in results to the legacy
+    list-walking kernel (QCheck enforces this). *)
 
 open Gmt_ir
 

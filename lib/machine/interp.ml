@@ -9,7 +9,7 @@ type result = {
   fuel_exhausted : bool;
 }
 
-type engine = [ `Decoded | `Jit | `Legacy ]
+type engine = [ `Jit | `Legacy ]
 
 exception Stuck of string
 
@@ -36,8 +36,8 @@ let run ?(fuel = 50_000_000) ?(init_regs = []) ?(init_mem = [])
   let fuel_left = ref fuel in
   let finished = ref false in
   let block = ref (Cfg.entry cfg) in
-  (* Shared control-transfer slot for the decoded and jit engines:
-     the taken successor label, or -1 while still inside the block. *)
+  (* Control-transfer slot of the jit engine: the taken successor
+     label, or -1 while still inside the block. *)
   let next_label = ref (-1) in
   let run_legacy () =
     while not !finished do
@@ -73,46 +73,6 @@ let run ?(fuel = 50_000_000) ?(init_regs = []) ?(init_mem = [])
         Profile.bump_edge profile ~src:!block ~dst:l 1;
         block := l
       | None -> if not !finished then raise (Stuck "block fell through")
-    done
-  in
-  (* Decoded engine: the block bodies snapshotted once into arrays, then
-     the same traversal with an index instead of a list walk. *)
-  let run_decoded () =
-    let code =
-      Array.init (Cfg.n_blocks cfg) (fun l -> Array.of_list (Cfg.body cfg l))
-    in
-    while not !finished do
-      Profile.bump_block profile !block 1;
-      let body = code.(!block) in
-      let n = Array.length body in
-      next_label := -1;
-      let ix = ref 0 in
-      while !next_label < 0 && (not !finished) && !ix < n do
-        decr fuel_left;
-        if !fuel_left <= 0 then raise Exit;
-        incr dyn;
-        let i = body.(!ix) in
-        (match i.Instr.op with
-        | Const (d, k) -> set d k
-        | Copy (d, s) -> set d (get s)
-        | Unop (u, d, s) -> set d (Instr.eval_unop u (get s))
-        | Binop (b, d, x, y) -> set d (Instr.eval_binop b (get x) (get y))
-        | Load (_, d, base, off) -> set d memory.((get base + off) land mask)
-        | Store (_, base, off, s) ->
-          memory.((get base + off) land mask) <- get s
-        | Jump l -> next_label := l
-        | Branch (c, l1, l2) -> next_label := (if get c <> 0 then l1 else l2)
-        | Return -> finished := true
-        | Produce _ | Consume _ | Produce_sync _ | Consume_sync _ ->
-          raise (stuck_comm i)
-        | Nop -> ());
-        incr ix
-      done;
-      if !next_label >= 0 then begin
-        Profile.bump_edge profile ~src:!block ~dst:!next_label 1;
-        block := !next_label
-      end
-      else if not !finished then raise (Stuck "block fell through")
     done
   in
   (* Jit engine: each instruction compiled once into a closure over the
@@ -176,7 +136,6 @@ let run ?(fuel = 50_000_000) ?(init_regs = []) ?(init_mem = [])
   (try
      match engine with
      | `Legacy -> run_legacy ()
-     | `Decoded -> run_decoded ()
      | `Jit -> run_jit ()
    with Exit -> ());
   {

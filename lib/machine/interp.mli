@@ -23,11 +23,10 @@ exception Stuck of string
 
 (** Inner-loop implementation. [`Jit] (the default) compiles each
     instruction once into a closure over the register file and memory;
-    [`Decoded] snapshots block bodies into arrays; [`Legacy] re-walks
-    the IR lists. All three produce identical results (memory, regs,
-    dyn_instrs, profile, fuel behavior) — enforced by QCheck properties
-    in [test_simkernel]. *)
-type engine = [ `Decoded | `Jit | `Legacy ]
+    [`Legacy] re-walks the IR lists and is the test oracle. Both produce
+    identical results (memory, regs, dyn_instrs, profile, fuel behavior)
+    — enforced by QCheck properties in [test_simkernel]. *)
+type engine = [ `Jit | `Legacy ]
 
 val run :
   ?fuel:int ->

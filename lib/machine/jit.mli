@@ -12,7 +12,7 @@
     transfer (ends the issue group), negative [-(bucket + 1)] blocked —
     the closure has charged the stall stat and recorded
     {!Simstate.core.wake} / {!Simstate.core.blocked_stat} for the idle
-    fast-forward. Results are byte-identical to the decoded and legacy
-    kernels; QCheck properties in [test_simkernel] enforce it. *)
+    fast-forward. Results are byte-identical to the legacy kernel;
+    QCheck properties in [test_simkernel] enforce it. *)
 
 val compile : Simstate.t -> int -> Decode.t -> (unit -> int) array

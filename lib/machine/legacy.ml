@@ -1,9 +1,9 @@
 (* The original list-walking simulator, frozen as the equivalence
-   oracle for the decoded and jit engines. This is the implementation
+   oracle for the jit engine. This is the implementation
    the machine model was validated against: heap-allocated [Queue.t]
    queue state, [Instr.t list] block walking, a full guard re-evaluation
    every cycle for every core. Nothing here is optimized on purpose —
-   the other engines must reproduce its results bit-for-bit (including
+   the jit engine must reproduce its results bit-for-bit (including
    per-cycle stall attribution and queue peaks), so any change to this
    file changes what "correct" means. [Sim.run ~kernel:`Legacy]
    dispatches to {!run}. *)

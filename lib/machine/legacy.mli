@@ -1,10 +1,10 @@
 (** The original list-walking simulator, frozen as the equivalence
-    oracle for the decoded and jit engines (see {!Sim.kernel}).
+    oracle for the jit engine (see {!Sim.kernel}).
 
     This is the implementation the machine model was validated against:
     [Queue.t]-based queue state, [Instr.t list] block walking, and a
     full guard re-evaluation for every core on every cycle. It is kept
-    deliberately unoptimized — the faster engines must reproduce its
+    deliberately unoptimized — the jit engine must reproduce its
     results bit-for-bit, per-cycle stall attribution and queue peaks
     included, so this file defines what "correct" means. Reached via
     [Sim.run ~kernel:`Legacy]; the result types mirror {!Sim}'s and are

@@ -2,7 +2,7 @@ open Gmt_ir
 
 type sched = Round_robin | Random of int
 
-type engine = [ `Decoded | `Jit | `Legacy ]
+type engine = [ `Jit | `Legacy ]
 
 type thread_stats = {
   dyn_instrs : int;
@@ -31,7 +31,7 @@ type tstate = {
   func : Func.t;
   regs : int array;
   mutable rest : Instr.t list; (* legacy engine: remaining block body *)
-  mutable blk : int; (* decoded/jit engines: current block label... *)
+  mutable blk : int; (* jit engine: current block label... *)
   mutable ix : int; (* ...and instruction index within it *)
   mutable finished : bool;
   mutable dyn : int;
@@ -90,13 +90,13 @@ let run ?(fuel = 50_000_000) ?(sched = Round_robin) ?(init_regs = [])
   let rng =
     match sched with Random seed -> make_rng seed | Round_robin -> fun _ -> 0
   in
-  (* Block bodies snapshotted into arrays for the decoded and jit
-     engines (indexed [thread].(label).(ix)); the legacy engine walks the
-     IR lists directly. *)
+  (* Block bodies snapshotted into arrays for the jit engine (indexed
+     [thread].(label).(ix)); the legacy engine walks the IR lists
+     directly. *)
   let codes =
     match engine with
     | `Legacy -> [||]
-    | `Decoded | `Jit ->
+    | `Jit ->
       Array.map
         (fun st ->
           Array.init
@@ -169,82 +169,13 @@ let run ?(fuel = 50_000_000) ?(sched = Round_robin) ?(init_regs = [])
           else false
         | Nop -> advance (); retire (); true)
   in
-  (* ---- decoded engine: the same dispatch over array-indexed bodies. *)
-  let step_decoded t =
-    let st = threads.(t) in
-    if st.finished then false
-    else begin
-      let body = codes.(t).(st.blk) in
-      if st.ix >= Array.length body then
-        invalid_arg "Mt_interp: block without terminator";
-      let i = body.(st.ix) in
-      let get r = st.regs.(Reg.to_int r) in
-      let set r v = st.regs.(Reg.to_int r) <- v in
-      let goto l =
-        st.blk <- l;
-        st.ix <- 0
-      in
-      let advance () = st.ix <- st.ix + 1 in
-      let retire () =
-        st.dyn <- st.dyn + 1;
-        decr fuel_left
-      in
-      match i.Instr.op with
-      | Const (d, k) -> set d k; advance (); retire (); true
-      | Copy (d, s) -> set d (get s); advance (); retire (); true
-      | Unop (u, d, s) ->
-        set d (Instr.eval_unop u (get s));
-        advance (); retire (); true
-      | Binop (b, d, x, y) ->
-        set d (Instr.eval_binop b (get x) (get y));
-        advance (); retire (); true
-      | Load (_, d, base, off) ->
-        set d memory.((get base + off) land mask);
-        advance (); retire (); true
-      | Store (_, base, off, s) ->
-        memory.((get base + off) land mask) <- get s;
-        advance (); retire (); true
-      | Jump l -> goto l; retire (); true
-      | Branch (c, l1, l2) ->
-        goto (if get c <> 0 then l1 else l2);
-        retire (); true
-      | Return -> st.finished <- true; retire (); true
-      | Produce (q, s) ->
-        if Syncarray.try_produce sa ~q ~value:(get s) ~ready:0 then begin
-          st.prod <- st.prod + 1;
-          advance (); retire (); true
-        end
-        else false
-      | Consume (d, q) ->
-        if Syncarray.can_consume sa ~q ~now:0 then begin
-          set d (Syncarray.consume sa ~q ~now:0);
-          st.cons <- st.cons + 1;
-          advance (); retire (); true
-        end
-        else false
-      | Produce_sync q ->
-        if Syncarray.try_produce sa ~q ~value:1 ~ready:0 then begin
-          st.psync <- st.psync + 1;
-          advance (); retire (); true
-        end
-        else false
-      | Consume_sync q ->
-        if Syncarray.can_consume sa ~q ~now:0 then begin
-          ignore (Syncarray.consume sa ~q ~now:0);
-          st.csync <- st.csync + 1;
-          advance (); retire (); true
-        end
-        else false
-      | Nop -> advance (); retire (); true
-    end
-  in
   (* ---- jit engine: every instruction compiled once into a closure
      that performs the op, advances, retires and reports progress; the
      step indexes [jcodes] and calls — no opcode [match], no per-step
      allocation. *)
   let jcodes =
     match engine with
-    | `Legacy | `Decoded -> [||]
+    | `Legacy -> [||]
     | `Jit ->
       Array.mapi
         (fun t blocks ->
@@ -383,12 +314,7 @@ let run ?(fuel = 50_000_000) ?(sched = Round_robin) ?(init_regs = [])
       body.(st.ix) ()
     end
   in
-  let step =
-    match engine with
-    | `Legacy -> step_legacy
-    | `Decoded -> step_decoded
-    | `Jit -> step_jit
-  in
+  let step = match engine with `Legacy -> step_legacy | `Jit -> step_jit in
   let deadlocked = ref false in
   (* Per-pass scratch, hoisted so the scheduler loop allocates nothing. *)
   let progressed = ref false in
@@ -433,7 +359,7 @@ let run ?(fuel = 50_000_000) ?(sched = Round_robin) ?(init_regs = [])
     match engine with
     | `Legacy -> (
       match st.rest with [] -> None | i :: _ -> Some i.Instr.op)
-    | `Decoded | `Jit ->
+    | `Jit ->
       let body = codes.(t).(st.blk) in
       if st.ix < Array.length body then Some body.(st.ix).Instr.op else None
   in

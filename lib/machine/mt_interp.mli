@@ -15,11 +15,10 @@ type sched = Round_robin | Random of int  (** seed *)
 
 (** Inner-loop implementation. [`Jit] (the default) compiles each
     instruction once into a closure that executes, advances and reports
-    progress; [`Decoded] dispatches over array-indexed block bodies;
-    [`Legacy] re-walks the IR lists. All three produce identical results
-    for every scheduler — enforced by QCheck properties in
-    [test_simkernel]. *)
-type engine = [ `Decoded | `Jit | `Legacy ]
+    progress; [`Legacy] re-walks the IR lists and is the test oracle.
+    Both produce identical results for every scheduler — enforced by
+    QCheck properties in [test_simkernel]. *)
+type engine = [ `Jit | `Legacy ]
 
 type thread_stats = {
   dyn_instrs : int;       (** everything executed, communication included *)

@@ -28,28 +28,15 @@ type result = {
   deadlock_report : string list;
 }
 
-type kernel = [ `Decoded | `Jit | `Legacy ]
+type kernel = [ `Jit | `Legacy ]
 
-let kernel_name = function
-  | `Decoded -> "decoded"
-  | `Jit -> "jit"
-  | `Legacy -> "legacy"
+let kernel_name = function `Jit -> "jit" | `Legacy -> "legacy"
 
-let kernel_of_string = function
-  | "decoded" -> Some `Decoded
-  | "jit" -> Some `Jit
-  | "legacy" -> Some `Legacy
-  | _ -> None
-
-let all_kernels : kernel list = [ `Legacy; `Decoded; `Jit ]
+let all_kernels : kernel list = [ `Legacy; `Jit ]
 
 (* Cycle-attribution buckets live in Simstate (shared with the jit
    closure compiler); re-exported here as the public names. *)
 let bucket_busy = S.bucket_busy
-let bucket_latency = S.bucket_latency
-let bucket_consume_empty = S.bucket_consume_empty
-let bucket_produce_full = S.bucket_produce_full
-let bucket_ports = S.bucket_ports
 let bucket_done = S.bucket_done
 let stall_labels = S.stall_labels
 let n_stall_buckets = S.n_stall_buckets
@@ -64,8 +51,6 @@ let deadlock_threshold (mc : Config.t) =
   (4 * mc.mem_latency) + (mc.queue_size * (mc.sa_latency + 1)) + 256
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
-
-let pending_mark = S.pending_mark
 
 (* The legacy oracle lives in its own module with structurally identical
    result types; convert field-for-field so its engine cannot drift from
@@ -104,29 +89,24 @@ let rec run ?(fuel = 100_000_000) ?(init_regs = []) ?(init_mem = [])
     ?(kernel = `Jit) (mc : Config.t) (p : Mtprog.t) ~mem_size =
   match kernel with
   | `Legacy -> of_legacy (Legacy.run ~fuel ~init_regs ~init_mem mc p ~mem_size)
-  | (`Decoded | `Jit) as kernel ->
-    run_fast ~fuel ~init_regs ~init_mem ~kernel mc p ~mem_size
+  | `Jit -> run_jit ~fuel ~init_regs ~init_mem mc p ~mem_size
 
-and run_fast ~fuel ~init_regs ~init_mem ~kernel (mc : Config.t) (p : Mtprog.t)
+and run_jit ~fuel ~init_regs ~init_mem (mc : Config.t) (p : Mtprog.t)
     ~mem_size =
   if not (is_pow2 mem_size) then invalid_arg "Sim.run: mem_size not 2^k";
   let n_cores = Array.length p.Mtprog.threads in
   if n_cores > mc.n_cores then invalid_arg "Sim.run: more threads than cores";
   let st = S.make mc p ~init_regs ~init_mem ~mem_size in
-  let memory = st.S.memory and mask = st.S.mask in
+  let memory = st.S.memory in
   let cores = st.S.cores and queues = st.S.queues in
   (* Decoded images of each thread (decode once, index every cycle). *)
   let dprogs =
     Array.map (fun (f : Func.t) -> Decode.func mc f) p.Mtprog.threads
   in
   Array.iteri (fun i c -> c.S.pc <- dprogs.(i).Decode.entry_pc) cores;
-  (* Jit kernel: each thread's decoded code compiled once into fused
-     guard+writeback closures (see [Jit]). *)
-  let jprogs =
-    match kernel with
-    | `Jit -> Array.mapi (fun ci dp -> Jit.compile st ci dp) dprogs
-    | `Decoded -> [||]
-  in
+  (* Each thread's decoded code compiled once into fused guard+writeback
+     closures (see [Jit]). *)
+  let jprogs = Array.mapi (fun ci dp -> Jit.compile st ci dp) dprogs in
   let idle_cycles = ref 0 in
   let idle_peak = ref 0 in
   let deadlocked = ref false in
@@ -134,197 +114,11 @@ and run_fast ~fuel ~init_regs ~init_mem ~kernel (mc : Config.t) (p : Mtprog.t)
   let stall_attr =
     Array.init n_cores (fun _ -> Array.make n_stall_buckets 0)
   in
-  (* Per-core bucket of the current cycle; the jit idle fast-forward
+  (* Per-core bucket of the current cycle; the idle fast-forward
      replays these in bulk over provably frozen cycles. *)
   let last_bucket = Array.make n_cores bucket_done in
   let queue_peak = st.S.queue_peak in
-  (* ---------------- decoded kernel ----------------
-     Returns the cycle's attribution bucket for this core. *)
-  let step_core_decoded ci =
-    let c = cores.(ci) in
-    if c.S.finished then bucket_done
-    else begin
-      let code = dprogs.(ci).Decode.code in
-      let issued = ref 0 in
-      let alu = ref 0 and fp = ref 0 and mem = ref 0 and br = ref 0 in
-      let progressed = ref false in
-      let blocked = ref false in
-      let block_bucket = ref bucket_latency in
-      while (not !blocked) && (not c.S.finished) && !issued < mc.issue_width do
-        let di = code.(c.S.pc) in
-        let slot_free =
-          match di.Decode.cls with
-          | Decode.Calu -> !alu < mc.alu_units
-          | Decode.Cfp -> !fp < mc.fp_units
-          | Decode.Cmem -> !mem < mc.mem_ports
-          | Decode.Cbr -> !br < mc.branch_units
-          | Decode.Cnone -> true
-        in
-        if not slot_free then begin
-          c.S.s_stall_ports <- c.S.s_stall_ports + 1;
-          block_bucket := bucket_ports;
-          blocked := true
-        end
-        else begin
-          let pending_operand = ref false in
-          let operands_ready =
-            let t = st.S.now in
-            let u = di.Decode.uses in
-            let ok = ref true in
-            for k = 0 to Array.length u - 1 do
-              let rr = c.S.reg_ready.(u.(k)) in
-              if rr > t then begin
-                ok := false;
-                if rr >= pending_mark then pending_operand := true
-              end
-            done;
-            (* WAW hazard against pending consumes only: every other write
-               deposits its value at issue, but a pending consume's value
-               arrives later and would clobber this newer write. *)
-            let d = di.Decode.defs in
-            for k = 0 to Array.length d - 1 do
-              if c.S.reg_ready.(d.(k)) >= pending_mark then begin
-                ok := false;
-                pending_operand := true
-              end
-            done;
-            !ok
-          in
-          let fence_ok =
-            (not di.Decode.is_mem)
-            || (c.S.outstanding_syncs = 0 && c.S.fence_ready <= st.S.now)
-          in
-          let sa_ok = (not di.Decode.needs_sa) || st.S.sa_ports_left > 0 in
-          let queue_ok =
-            match di.Decode.dop with
-            | Decode.Dproduce (q, _) | Decode.Dproduce_sync q ->
-              queues.(q).S.logical_occupancy < mc.queue_size
-            | _ -> true
-          in
-          if not operands_ready then begin
-            c.S.s_stall_data <- c.S.s_stall_data + 1;
-            block_bucket :=
-              (if !pending_operand then bucket_consume_empty
-               else bucket_latency);
-            blocked := true
-          end
-          else if not fence_ok then begin
-            c.S.s_stall_queue <- c.S.s_stall_queue + 1;
-            block_bucket :=
-              (if c.S.outstanding_syncs > 0 then bucket_consume_empty
-               else bucket_latency);
-            blocked := true
-          end
-          else if not sa_ok then begin
-            c.S.s_stall_ports <- c.S.s_stall_ports + 1;
-            block_bucket := bucket_ports;
-            blocked := true
-          end
-          else if not queue_ok then begin
-            c.S.s_stall_queue <- c.S.s_stall_queue + 1;
-            block_bucket := bucket_produce_full;
-            blocked := true
-          end
-          else begin
-            (* Issue. *)
-            (match di.Decode.cls with
-            | Decode.Calu -> incr alu
-            | Decode.Cfp -> incr fp
-            | Decode.Cmem -> incr mem
-            | Decode.Cbr -> incr br
-            | Decode.Cnone -> ());
-            c.S.s_instrs <- c.S.s_instrs + 1;
-            (match di.Decode.dop with
-            | Decode.Dconst (d, k) ->
-              c.S.regs.(d) <- k;
-              c.S.reg_ready.(d) <- st.S.now + di.Decode.lat;
-              c.S.pc <- c.S.pc + 1
-            | Decode.Dcopy (d, s) ->
-              c.S.regs.(d) <- c.S.regs.(s);
-              c.S.reg_ready.(d) <- st.S.now + di.Decode.lat;
-              c.S.pc <- c.S.pc + 1
-            | Decode.Dunop (u, d, s) ->
-              c.S.regs.(d) <- Instr.eval_unop u c.S.regs.(s);
-              c.S.reg_ready.(d) <- st.S.now + di.Decode.lat;
-              c.S.pc <- c.S.pc + 1
-            | Decode.Dbinop (b, d, x, y) ->
-              c.S.regs.(d) <- Instr.eval_binop b c.S.regs.(x) c.S.regs.(y);
-              c.S.reg_ready.(d) <- st.S.now + di.Decode.lat;
-              c.S.pc <- c.S.pc + 1
-            | Decode.Dload (d, base, off) ->
-              let addr = (c.S.regs.(base) + off) land mask in
-              c.S.regs.(d) <- memory.(addr);
-              c.S.reg_ready.(d) <- st.S.now + S.cache_load st c addr;
-              c.S.pc <- c.S.pc + 1
-            | Decode.Dstore (base, off, s) ->
-              let addr = (c.S.regs.(base) + off) land mask in
-              memory.(addr) <- c.S.regs.(s);
-              S.cache_store st c addr;
-              c.S.pc <- c.S.pc + 1
-            | Decode.Djump t ->
-              c.S.pc <- t;
-              (* Control transfer ends the issue group (fetch redirect). *)
-              issued := mc.issue_width
-            | Decode.Dbranch (cnd, t1, t2) ->
-              c.S.pc <- (if c.S.regs.(cnd) <> 0 then t1 else t2);
-              issued := mc.issue_width
-            | Decode.Dreturn ->
-              c.S.finished <- true;
-              c.S.finish_cycle <- st.S.now
-            | Decode.Dproduce (q, s) ->
-              st.S.sa_ports_left <- st.S.sa_ports_left - 1;
-              c.S.s_comm <- c.S.s_comm + 1;
-              S.produce_to st q c.S.regs.(s);
-              c.S.pc <- c.S.pc + 1
-            | Decode.Dproduce_sync q ->
-              st.S.sa_ports_left <- st.S.sa_ports_left - 1;
-              c.S.s_comm <- c.S.s_comm + 1;
-              S.produce_to st q 1;
-              c.S.pc <- c.S.pc + 1
-            | Decode.Dconsume (d, q) ->
-              st.S.sa_ports_left <- st.S.sa_ports_left - 1;
-              c.S.s_comm <- c.S.s_comm + 1;
-              let qs = queues.(q) in
-              if qs.S.e_len > 0 then begin
-                let v = S.entry_head_value qs in
-                let ready = S.entry_head_ready qs in
-                S.entry_drop qs;
-                qs.S.logical_occupancy <- qs.S.logical_occupancy - 1;
-                c.S.regs.(d) <- v;
-                c.S.reg_ready.(d) <- max ready (st.S.now + mc.sa_latency)
-              end
-              else begin
-                (* Stall-on-use: issue now, value arrives later. *)
-                S.waiter_push qs ~core:ci ~dst:d;
-                c.S.reg_ready.(d) <- pending_mark
-              end;
-              c.S.pc <- c.S.pc + 1
-            | Decode.Dconsume_sync q ->
-              st.S.sa_ports_left <- st.S.sa_ports_left - 1;
-              c.S.s_comm <- c.S.s_comm + 1;
-              let qs = queues.(q) in
-              if qs.S.e_len > 0 then begin
-                let ready = S.entry_head_ready qs in
-                S.entry_drop qs;
-                qs.S.logical_occupancy <- qs.S.logical_occupancy - 1;
-                if ready > c.S.fence_ready then c.S.fence_ready <- ready
-              end
-              else begin
-                S.waiter_push qs ~core:ci ~dst:(-1);
-                c.S.outstanding_syncs <- c.S.outstanding_syncs + 1
-              end;
-              c.S.pc <- c.S.pc + 1
-            | Decode.Dnop -> c.S.pc <- c.S.pc + 1);
-            incr issued;
-            progressed := true
-          end
-        end
-      done;
-      if !progressed then bucket_busy else !block_bucket
-    end
-  in
-  (* ---------------- jit kernel ----------------
-     One closure call per issue attempt; the closures charge stats and
+  (* One closure call per issue attempt; the closures charge stats and
      record wake/blocked_stat themselves (see [Jit]). Tail-recursive so
      the issue group runs without a single allocation. *)
   let issue_width = mc.issue_width in
@@ -342,50 +136,6 @@ and run_fast ~fuel ~init_regs ~init_mem ~kernel (mc : Config.t) (p : Mtprog.t)
     else if c.S.k_issued > 0 then bucket_busy
     else (-r) - 1
   in
-  let step_core_jit ci =
-    let c = cores.(ci) in
-    if c.S.finished then begin
-      c.S.blocked_stat <- S.stat_none;
-      bucket_done
-    end
-    else if
-        (c.S.wake > st.S.now && c.S.wake <> max_int)
-        || c.S.frozen_stamp = st.S.stamp
-      then begin
-      (* Frozen stall — replay the cached outcome without re-running the
-         guard. Two provably-identical cases: (a) finite [wake]: only the
-         two latency-style blocks set one (operand not ready until
-         [wake]; fence drain with no outstanding syncs), and both depend
-         solely on state no other core can change while this one is
-         blocked — cross-core deliveries only touch pending-marked
-         registers, which force wake = max_int; (b) the head blocked on
-         a cross-core condition (pending operand, sync drain, full
-         queue) and the global event stamp has not moved, so no produce
-         was delivered and no entry consumed anywhere since the guard
-         last ran — its inputs are bit-identical. Either way the replay
-         charges the same stat and bucket the evaluation would. *)
-      (if c.S.blocked_stat = S.stat_data then
-         c.S.s_stall_data <- c.S.s_stall_data + 1
-       else c.S.s_stall_queue <- c.S.s_stall_queue + 1);
-      c.S.replay_bucket
-    end
-    else begin
-      let k = c.S.k_cnt in
-      k.(0) <- 0;
-      k.(1) <- 0;
-      k.(2) <- 0;
-      k.(3) <- 0;
-      k.(4) <- 0;
-      c.S.k_issued <- 0;
-      issue_jit jprogs.(ci) c
-    end
-  in
-  let step_core =
-    match kernel with
-    | `Decoded -> step_core_decoded
-    | `Jit -> step_core_jit
-  in
-  let jit = kernel = `Jit in
   let fuel_exhausted = ref false in
   let sa_ports = mc.sa_ports in
   (* [n_fin] counts cores observed finished after their step this cycle,
@@ -393,8 +143,8 @@ and run_fast ~fuel ~init_regs ~init_mem ~kernel (mc : Config.t) (p : Mtprog.t)
      returns during a cycle is already [finished] when counted. *)
   let n_fin = ref 0 in
   (try
-     if jit && n_cores = 1 then begin
-       (* Single-core jit loop: same cycle-for-cycle behaviour as the
+     if n_cores = 1 then begin
+       (* Single-core loop: same cycle-for-cycle behaviour as the
           generic loop below (single-thread cells are a fifth of the
           matrix), with the per-core dispatch, scans and ref juggling
           specialized away. A core that returns does so from a busy
@@ -476,44 +226,53 @@ and run_fast ~fuel ~init_regs ~init_mem ~kernel (mc : Config.t) (p : Mtprog.t)
        let any = ref false in
        n_fin := 0;
        for ci = 0 to n_cores - 1 do
-         (* Jit steps inline here: a replaying (blocked/finished) core
-            resolves its cycle with a handful of field reads and no call
-            at all; the closure array is only entered for a live issue
-            attempt. Decoded keeps its out-of-line step. *)
+         (* A replaying (blocked/finished) core resolves its cycle with a
+            handful of field reads and no call at all; the closure array
+            is only entered for a live issue attempt. *)
+         let c = cores.(ci) in
          let bucket =
-           if not jit then step_core ci
+           if c.S.finished then begin
+             c.S.blocked_stat <- S.stat_none;
+             bucket_done
+           end
+           else if
+               (c.S.wake > st.S.now && c.S.wake <> max_int)
+               || c.S.frozen_stamp = st.S.stamp
+             then begin
+             (* Frozen stall — replay the cached outcome without re-running
+                the guard. Two provably-identical cases: (a) finite [wake]:
+                only the two latency-style blocks set one (operand not
+                ready until [wake]; fence drain with no outstanding syncs),
+                and both depend solely on state no other core can change
+                while this one is blocked — cross-core deliveries only
+                touch pending-marked registers, which force wake = max_int;
+                (b) the head blocked on a cross-core condition (pending
+                operand, sync drain, full queue) and the global event
+                stamp has not moved, so no produce was delivered and no
+                entry consumed anywhere since the guard last ran — its
+                inputs are bit-identical. Either way the replay charges the
+                same stat and bucket the evaluation would. *)
+             (if c.S.blocked_stat = S.stat_data then
+                c.S.s_stall_data <- c.S.s_stall_data + 1
+              else c.S.s_stall_queue <- c.S.s_stall_queue + 1);
+             c.S.replay_bucket
+           end
            else begin
-             let c = cores.(ci) in
-             if c.S.finished then begin
-               c.S.blocked_stat <- S.stat_none;
-               bucket_done
-             end
-             else if
-                 (c.S.wake > st.S.now && c.S.wake <> max_int)
-                 || c.S.frozen_stamp = st.S.stamp
-               then begin
-               (if c.S.blocked_stat = S.stat_data then
-                  c.S.s_stall_data <- c.S.s_stall_data + 1
-                else c.S.s_stall_queue <- c.S.s_stall_queue + 1);
-               c.S.replay_bucket
-             end
-             else begin
-               let k = c.S.k_cnt in
-               k.(0) <- 0;
-               k.(1) <- 0;
-               k.(2) <- 0;
-               k.(3) <- 0;
-               k.(4) <- 0;
-               c.S.k_issued <- 0;
-               issue_jit jprogs.(ci) c
-             end
+             let k = c.S.k_cnt in
+             k.(0) <- 0;
+             k.(1) <- 0;
+             k.(2) <- 0;
+             k.(3) <- 0;
+             k.(4) <- 0;
+             c.S.k_issued <- 0;
+             issue_jit jprogs.(ci) c
            end
          in
          last_bucket.(ci) <- bucket;
          let attr = stall_attr.(ci) in
          attr.(bucket) <- attr.(bucket) + 1;
          if bucket = bucket_busy then any := true;
-         if cores.(ci).S.finished then incr n_fin
+         if c.S.finished then incr n_fin
        done;
        if !any then idle_cycles := 0
        else begin
@@ -522,14 +281,14 @@ and run_fast ~fuel ~init_regs ~init_mem ~kernel (mc : Config.t) (p : Mtprog.t)
          if !idle_cycles > threshold then deadlocked := true
        end;
        st.S.now <- st.S.now + 1;
-       (* Jit idle fast-forward: when no core issued, the machine state
+       (* Idle fast-forward: when no core issued, the machine state
           is frozen — nothing changes from one cycle to the next except
           the cycle counter — until the earliest [wake] recorded by a
           blocking guard (operand or fence latency). Every intervening
           cycle provably repeats this one's buckets and stall stats, so
           replay them in bulk, capped so the fuel check and the deadlock
           watchdog fire at exactly the cycle they would have. *)
-       if jit && (not !any) && not !deadlocked then begin
+       if (not !any) && not !deadlocked then begin
          let w = ref max_int in
          for ci = 0 to n_cores - 1 do
            let c = cores.(ci) in

@@ -65,25 +65,22 @@ val stall_labels : string array
 
 val n_stall_buckets : int
 
-(** Issue-loop implementation. [`Jit] (the default) compiles each
-    decoded instruction once into an OCaml closure fusing the issue
-    guards with the operand fetch/writeback (see {!Jit}), and
-    fast-forwards provably frozen all-idle stretches in bulk; [`Decoded]
-    runs an interpreter over the {!Decode} pre-decoded flat arrays;
-    [`Legacy] re-walks the IR instruction lists each cycle. All three
-    produce byte-identical results — [cycles], [stall_attr],
-    [queue_peak], per-core stats, memory, deadlock verdicts — and the
-    two slower kernels are retained as equivalence oracles (enforced by
-    QCheck properties in [test_simkernel]). *)
-type kernel = [ `Decoded | `Jit | `Legacy ]
+(** Issue-loop implementation. [`Jit] (the default, and the only one
+    on the product path) compiles each decoded instruction once into an
+    OCaml closure fusing the issue guards with the operand
+    fetch/writeback (see {!Jit}), and fast-forwards provably frozen
+    all-idle stretches in bulk. [`Legacy] re-walks the IR instruction
+    lists each cycle; it is the equivalence oracle, reached from tests
+    and the bench harness only. Both produce byte-identical results —
+    [cycles], [stall_attr], [queue_peak], per-core stats, memory,
+    deadlock verdicts — enforced by QCheck properties in
+    [test_simkernel]. *)
+type kernel = [ `Jit | `Legacy ]
 
-(** ["decoded"], ["jit"] or ["legacy"] — stable names used by CLI flags,
-    bench output and the service protocol. *)
+(** ["jit"] or ["legacy"] — stable names used in bench output. *)
 val kernel_name : kernel -> string
 
-val kernel_of_string : string -> kernel option
-
-(** All kernels, oracle-first: [[`Legacy; `Decoded; `Jit]]. *)
+(** All kernels, oracle-first: [[`Legacy; `Jit]]. *)
 val all_kernels : kernel list
 
 (** Consecutive idle cycles after which a run is declared deadlocked,

@@ -120,7 +120,7 @@ type core = {
   func : Func.t;
   regs : int array;
   reg_ready : int array;
-  mutable pc : int; (* decoded/jit kernels: index into flat code *)
+  mutable pc : int; (* jit kernel: index into flat code *)
   mutable finished : bool;
   mutable finish_cycle : int;
   l1 : Cache.t;

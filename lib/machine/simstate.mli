@@ -1,13 +1,12 @@
-(** Mutable machine state shared by {!Sim}'s three issue-loop kernels.
+(** Mutable machine state shared by {!Sim}'s jit kernel and the
+    {!Jit} closure compiler.
 
-    The legacy, decoded and jit kernels all step the same state — cores,
-    synchronization-array queues, caches, the cycle counter and the
-    per-cycle SA port budget — so their results are byte-identical by
-    construction wherever the stepping logic agrees. Queue entries and
-    waiting consumers live in preallocated rings (entries are bounded by
-    the queue capacity; waiter rings grow by doubling, bounded by
-    cores x registers), so produce/consume allocate nothing in steady
-    state. *)
+    The jit kernel steps this state — cores, synchronization-array
+    queues, caches, the cycle counter and the per-cycle SA port budget.
+    Queue entries and waiting consumers live in preallocated rings
+    (entries are bounded by the queue capacity; waiter rings grow by
+    doubling, bounded by cores x registers), so produce/consume allocate
+    nothing in steady state. *)
 
 open Gmt_ir
 
@@ -65,7 +64,7 @@ type core = {
   func : Func.t;
   regs : int array;
   reg_ready : int array;
-  mutable pc : int;  (** decoded/jit kernels: index into flat code *)
+  mutable pc : int;  (** jit kernel: index into flat code *)
   mutable finished : bool;
   mutable finish_cycle : int;
   l1 : Cache.t;

@@ -230,9 +230,20 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
+(* Integers below 1e15 print bare; anything else prints in the shortest
+   [%g] precision that reads back to the same float, so an epoch
+   timestamp in microseconds (about 1.8e15) keeps every digit. A value
+   that round-trips in fewer than 15 digits prints the same at 15, since
+   [%g] drops trailing zeros, so the search starts there. *)
 let num_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%g" f
+  else if not (Float.is_finite f) then Printf.sprintf "%g" f
+  else
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+    in
+    shortest 15
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"

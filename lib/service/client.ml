@@ -145,8 +145,8 @@ let attempt ep { body; payload } =
         | () -> read_reply ())
 
 (* Retry classification. Connection refused means nobody is serving:
-   surface [`No_daemon] so the caller fails over (farm) or falls back to
-   a local compile (gmtc remote). A mid-reply EOF means the daemon
+   surface [`No_daemon] so the caller fails over along the ring and,
+   when no shard is left, falls back to a local compile. A mid-reply EOF means the daemon
    restarted or crashed under us: retry ONCE on a fresh connection — a
    restarted shard answers the retry (usually from cache), whereas the
    old behaviour reported [`No_daemon] and the client silently compiled
@@ -171,22 +171,11 @@ let opt_fuel fuel rest =
   | None -> rest
   | Some f -> ("fuel", Json.Num (float_of_int f)) :: rest
 
-(* Engine selection travels as its stable name; absent means the
-   server-side default (jit). Replies are byte-identical either way. *)
-let opt_kernel kernel rest =
-  match kernel with
-  | None -> rest
-  | Some k -> ("kernel", Json.Str (Gmt_machine.Sim.kernel_name k)) :: rest
+let compile_body ~op ~gmt ?fuel rest =
+  { body = Json.Obj (("op", Json.Str op) :: opt_fuel fuel rest); payload = gmt }
 
-let compile_body ~op ~gmt ?fuel ?kernel rest =
-  {
-    body =
-      Json.Obj (("op", Json.Str op) :: opt_fuel fuel (opt_kernel kernel rest));
-    payload = gmt;
-  }
-
-let run_request ~gmt ~technique ~coco ~threads ?fuel ?kernel () =
-  compile_body ~op:"run" ~gmt ?fuel ?kernel
+let run_request ~gmt ~technique ~coco ~threads ?fuel () =
+  compile_body ~op:"run" ~gmt ?fuel
     [
       ("technique", Json.Str technique);
       ("coco", Json.Bool coco);
@@ -201,8 +190,8 @@ let check_request ~gmt ~technique ~coco ~threads () =
       ("threads", Json.Num (float_of_int threads));
     ]
 
-let sweep_request ~gmt ~max_threads ?fuel ?kernel () =
-  compile_body ~op:"sweep" ~gmt ?fuel ?kernel
+let sweep_request ~gmt ~max_threads ?fuel () =
+  compile_body ~op:"sweep" ~gmt ?fuel
     [ ("max_threads", Json.Num (float_of_int max_threads)) ]
 
 (* Tag a compile request with a trace id: the server will collect its

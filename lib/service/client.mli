@@ -4,10 +4,11 @@
     failures exit with the same codes as offline gmtc, daemon or not),
     serializes it to canonical GMT-IR text and ships that — the daemon
     never needs the client's filesystem. [`No_daemon] distinguishes
-    "nothing is listening on that path" (the documented silent-fallback
-    case: the caller compiles locally through the same {!Render}
-    functions the daemon would have used, producing the same bytes) from
-    a daemon that answered badly ([`Protocol]) or refused ([`Busy]). *)
+    "nothing is listening on that path" (the failover signal, and once
+    no shard is left the local-fallback case: the caller compiles
+    locally through the same {!Render} functions the daemon would have
+    used, producing the same bytes, after {!warn_fallback}) from a
+    daemon that answered badly ([`Protocol]) or refused ([`Busy]). *)
 
 type error = [ `Busy of string | `No_daemon | `Protocol of string ]
 
@@ -48,15 +49,12 @@ val rpc : socket:string -> req -> (Gmt_obs.Json.t, [> error ]) result
 
 (** {2 Request builders} *)
 
-(** [kernel] selects the server-side execution engine (absent = the
-    default, jit); reply bytes are identical whichever engine runs. *)
 val run_request :
   gmt:string ->
   technique:string ->
   coco:bool ->
   threads:int ->
   ?fuel:int ->
-  ?kernel:Gmt_machine.Sim.kernel ->
   unit ->
   req
 
@@ -67,7 +65,6 @@ val sweep_request :
   gmt:string ->
   max_threads:int ->
   ?fuel:int ->
-  ?kernel:Gmt_machine.Sim.kernel ->
   unit ->
   req
 

@@ -21,9 +21,11 @@
 
     Request documents: [{"op": "ping" | "stats" | "run" | "check" |
     "sweep", ...}] — compile ops carry the canonical textual GMT-IR as
-    the attachment (or, for hand-rolled foreign clients, inline in a
-    ["gmt"] string field), plus ["technique"], ["coco"], ["threads"],
-    optional ["fuel"]; sweep carries ["max_threads"]. Responses:
+    the attachment, the only way a program arrives (a compile request
+    with an empty attachment is answered with exit 2, "request lacks
+    GMT-IR"), plus ["technique"], ["coco"], ["threads"], optional
+    ["fuel"]; sweep carries ["max_threads"]. Unknown fields are
+    ignored. Responses:
     [{"ok": true, "out": …, "err": …, "exit": …, "cache":
     "hit"|"miss"|"none"}] on success, [{"ok": false, "busy": true,
     "err": …}] on overload and [{"ok": false, "err": …}] on protocol

@@ -70,12 +70,17 @@ let guarded status f =
       cache_status = !status;
     }
 
+let technique_of_name = function
+  | "gremio" -> Some V.Gremio
+  | "dswp" -> Some V.Dswp
+  | _ -> None
+
 let cell_label (w : W.t) technique coco =
   Printf.sprintf "%s/%s" w.W.name (V.cell_name (V.Mt (technique, coco)))
 
 (* ------------------------------- run ------------------------------- *)
 
-let run ?cache ?canonical ?(jobs = 1) ?fuel ?kernel ?(verify = true)
+let run ?cache ?canonical ?(jobs = 1) ?fuel ?(verify = true)
     ~technique ~coco ~threads (w : W.t) =
   let canonical =
     match canonical with Some c -> c | None -> Text.print w
@@ -89,7 +94,7 @@ let run ?cache ?canonical ?(jobs = 1) ?fuel ?kernel ?(verify = true)
         (fun () ->
           `St
             (Obs.span ~cat:"stage" "req.simulate" (fun () ->
-                 V.measure_single ?fuel ?kernel w)));
+                 V.measure_single ?fuel w)));
         (fun () ->
           let a =
             V.compile_cached ?cache ~n_threads:threads ~coco ~verify
@@ -98,7 +103,7 @@ let run ?cache ?canonical ?(jobs = 1) ?fuel ?kernel ?(verify = true)
           `Mt
             ( a,
               Obs.span ~cat:"stage" "req.simulate" (fun () ->
-                  V.measure_artifact ?fuel ?kernel a) ));
+                  V.measure_artifact ?fuel a) ));
       ]
   in
   let st, a, m =
@@ -134,11 +139,7 @@ let verified_out ~label ~threads n_queues comm_sites =
   Printf.sprintf "%s: verified (%d threads, %d queues, %d comm sites)\n" label
     threads n_queues comm_sites
 
-let check ?cache ?canonical ?kernel ~technique ~coco ~threads (w : W.t) =
-  (* Translation validation is symbolic — no engine runs — and the cache
-     fingerprint intentionally excludes the kernel, so any [--kernel]
-     hits the same artifact. The flag is accepted for CLI uniformity. *)
-  ignore (kernel : Gmt_machine.Sim.kernel option);
+let check ?cache ?canonical ~technique ~coco ~threads (w : W.t) =
   let label = cell_label w technique coco in
   let canonical =
     match canonical with Some c -> c | None -> Text.print w
@@ -237,11 +238,11 @@ let check_text ?cache ~technique ~coco ~threads text =
 
 (* ------------------------------ sweep ------------------------------ *)
 
-let sweep ?(jobs = 1) ?fuel ?kernel ~max_threads (w : W.t) =
+let sweep ?(jobs = 1) ?fuel ~max_threads (w : W.t) =
   guarded (ref "none") @@ fun () ->
   let train =
     Obs.span ~cat:"stage" "req.simulate" (fun () ->
-        Gmt_machine.Interp.run ?fuel ?engine:kernel
+        Gmt_machine.Interp.run ?fuel
           ~init_regs:w.W.train.W.regs ~init_mem:w.W.train.W.mem w.W.func
           ~mem_size:w.W.mem_size)
   in
@@ -254,7 +255,7 @@ let sweep ?(jobs = 1) ?fuel ?kernel ~max_threads (w : W.t) =
     let measure plan =
       let mtp = Gmt_mtcg.Mtcg.generate pdg part plan in
       let r =
-        Gmt_machine.Mt_interp.run ?fuel ?engine:kernel
+        Gmt_machine.Mt_interp.run ?fuel
           ~init_regs:w.W.reference.W.regs ~init_mem:w.W.reference.W.mem mtp
           ~queue_capacity:32 ~mem_size:w.W.mem_size
       in

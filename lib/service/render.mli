@@ -28,6 +28,10 @@ val exit_verify : int
 val exit_timeout : int
 val exit_busy : int
 
+(** ["gremio"] or ["dswp"], spelled as the CLI and the wire spell
+    them. *)
+val technique_of_name : string -> V.technique option
+
 type outcome = {
   out : string;  (** exactly what offline gmtc prints on stdout *)
   err : string;  (** exactly what offline gmtc prints on stderr *)
@@ -40,15 +44,12 @@ type outcome = {
     simulator; exhaustion yields {!exit_timeout}. [jobs] only changes
     scheduling, never bytes. [canonical], when the caller already holds
     the canonical GMT-IR text (the server receives it on the wire),
-    skips the [Text.print] for the cache key. [kernel] selects the
-    execution engine (default jit); the report bytes and the cache
-    artifact are identical whichever engine runs. *)
+    skips the [Text.print] for the cache key. *)
 val run :
   ?cache:Gmt_cache.Cache.t ->
   ?canonical:string ->
   ?jobs:int ->
   ?fuel:int ->
-  ?kernel:Gmt_machine.Sim.kernel ->
   ?verify:bool ->
   technique:V.technique ->
   coco:bool ->
@@ -58,13 +59,10 @@ val run :
 
 (** [gmtc check]: translation-validate one cell. A cache hit serves the
     stored verdict; a miss compiles unverified, runs the validator, and
-    stores only a clean artifact. [canonical] as for {!run}. [kernel] is
-    accepted for CLI uniformity and ignored — validation is symbolic,
-    and the cache fingerprint excludes the engine. *)
+    stores only a clean artifact. [canonical] as for {!run}. *)
 val check :
   ?cache:Gmt_cache.Cache.t ->
   ?canonical:string ->
-  ?kernel:Gmt_machine.Sim.kernel ->
   technique:V.technique ->
   coco:bool ->
   threads:int ->
@@ -84,13 +82,10 @@ val check_text :
   string ->
   outcome
 
-(** [gmtc sweep]: communication across thread counts [2..max_threads].
-    [kernel] selects the interpreter engines (default jit); counts are
-    identical whichever engine runs. *)
+(** [gmtc sweep]: communication across thread counts [2..max_threads]. *)
 val sweep :
   ?jobs:int ->
   ?fuel:int ->
-  ?kernel:Gmt_machine.Sim.kernel ->
   max_threads:int ->
   Workload.t ->
   outcome

@@ -180,48 +180,23 @@ let effective_fuel cfg req_fuel =
   | Some f, None -> Some f
   | None, cap -> cap
 
-let technique_of_name = function
-  | "gremio" -> Some V.Gremio
-  | "dswp" -> Some V.Dswp
-  | _ -> None
-
-(* The compile ops carry the canonical GMT-IR text; the client already
-   resolved names and files, so a parse failure here means a foreign
-   client — it gets the same message and exit offline gmtc would give
-   for a broken [.gmt] file. [check] defers parsing to
-   {!Render.check_text} so a warm request never pays for it; [run] and
-   [sweep] simulate and must parse regardless, but still key the cache
-   on the received bytes. *)
-let compile_request t j payload op =
-  let gmt, fuel, kernel =
+(* The compile ops carry the canonical GMT-IR text as the frame payload,
+   the only way a program arrives; the client already resolved names and
+   files, so a parse failure here means a foreign client — it gets the
+   same message and exit offline gmtc would give for a broken [.gmt]
+   file. [check] defers parsing to {!Render.check_text} so a warm
+   request never pays for it; [run] and [sweep] simulate and must parse
+   regardless, but still key the cache on the received bytes. Fields the
+   server does not read (a stale client's "kernel" or "gmt") are ignored
+   like any other unknown field. *)
+let compile_request t j text op =
+  let fuel =
     Obs.span ~cat:"stage" "req.decode" (fun () ->
-        let gmt =
-          if payload <> "" then Some payload else Proto.str_field j "gmt"
-        in
-        let fuel = effective_fuel t.cfg (Proto.int_field j "fuel") in
-        (* Engine selection rides along on run/sweep requests; absent
-           means the engine default (jit). Replies are byte-identical
-           whichever engine runs — the field only exists so clients can
-           cross-check. *)
-        let kernel =
-          match Proto.str_field j "kernel" with
-          | None -> Ok None
-          | Some name -> (
-            match Gmt_machine.Sim.kernel_of_string name with
-            | Some k -> Ok (Some k)
-            | None ->
-              Error
-                (outcome_err ~code:Render.exit_unknown
-                   (Printf.sprintf
-                      "gmtc: unknown kernel %S (known: jit, decoded, \
-                       legacy)\n"
-                      name)))
-        in
-        (gmt, fuel, kernel))
+        effective_fuel t.cfg (Proto.int_field j "fuel"))
   in
-  match gmt with
-  | None -> outcome_err ~code:Render.exit_parse "gmtc: request lacks GMT-IR\n"
-  | Some text -> (
+  if text = "" then
+    outcome_err ~code:Render.exit_parse "gmtc: request lacks GMT-IR\n"
+  else
     let parsed () =
       match Text.parse ~file:"<request>" text with
       | Error e ->
@@ -230,41 +205,33 @@ let compile_request t j payload op =
              (Printf.sprintf "gmtc: %s\n" (Text.render_error e)))
       | Ok w -> Ok w
     in
-    match kernel with
-    | Error o -> o
-    | Ok kernel -> (
-      match op with
-      | `Sweep -> (
-        match parsed () with
-        | Error o -> o
-        | Ok w ->
-          let max_threads =
-            Option.value (Proto.int_field j "max_threads") ~default:4
-          in
-          Render.sweep ~jobs:1 ?fuel ?kernel ~max_threads w)
-      | (`Run | `Check) as op -> (
-        let name = Option.value (Proto.str_field j "technique") ~default:"" in
-        match technique_of_name name with
-        | None ->
-          outcome_err ~code:Render.exit_unknown
-            (Printf.sprintf
-               "gmtc: unknown technique %S (known: gremio, dswp)\n" name)
-        | Some technique -> (
-          let coco = Option.value (Proto.bool_field j "coco") ~default:false in
-          let threads =
-            Option.value (Proto.int_field j "threads") ~default:2
-          in
-          match op with
-          | `Check ->
-            (* Validation is symbolic; the kernel (already vetted above)
-               does not enter the fingerprint or the verdict. *)
-            Render.check_text ~cache:t.cache ~technique ~coco ~threads text
-          | `Run -> (
-            match parsed () with
-            | Error o -> o
-            | Ok w ->
-              Render.run ~cache:t.cache ~canonical:text ~jobs:1 ?fuel ?kernel
-                ~technique ~coco ~threads w)))))
+    match op with
+    | `Sweep -> (
+      match parsed () with
+      | Error o -> o
+      | Ok w ->
+        let max_threads =
+          Option.value (Proto.int_field j "max_threads") ~default:4
+        in
+        Render.sweep ~jobs:1 ?fuel ~max_threads w)
+    | (`Run | `Check) as op -> (
+      let name = Option.value (Proto.str_field j "technique") ~default:"" in
+      match Render.technique_of_name name with
+      | None ->
+        outcome_err ~code:Render.exit_unknown
+          (Printf.sprintf "gmtc: unknown technique %S (known: gremio, dswp)\n"
+             name)
+      | Some technique -> (
+        let coco = Option.value (Proto.bool_field j "coco") ~default:false in
+        let threads = Option.value (Proto.int_field j "threads") ~default:2 in
+        match op with
+        | `Check -> Render.check_text ~cache:t.cache ~technique ~coco ~threads text
+        | `Run -> (
+          match parsed () with
+          | Error o -> o
+          | Ok w ->
+            Render.run ~cache:t.cache ~canonical:text ~jobs:1 ?fuel ~technique
+              ~coco ~threads w)))
 
 let stats_json t =
   let s = Cache.stats t.cache in
@@ -373,11 +340,10 @@ let account ins ~name ~t0 ~now (o : Render.outcome) spans =
   if o.Render.code <> 0 then Registry.incr ins.c_errors
 
 (* The single-flight key: every request field that enters the outcome,
-   plus the program text in both forms it may arrive in — the frame
-   payload and the legacy "gmt" JSON field that [compile_request] falls
-   back to when the payload is empty. Deliberately NOT the trace id, so
-   traced and untraced clients coalesce (each reply still carries its
-   own trace id; waiters just ship no server-side spans). *)
+   plus the program text, which arrives only as the frame payload.
+   Deliberately NOT the trace id, so traced and untraced clients
+   coalesce (each reply still carries its own trace id; waiters just
+   ship no server-side spans). *)
 let flight_key j payload =
   let b = Buffer.create (String.length payload + 128) in
   List.iter
@@ -388,8 +354,7 @@ let flight_key j payload =
       | Some v -> Buffer.add_string b (Json.to_string v)
       | None -> ());
       Buffer.add_char b ';')
-    [ "op"; "technique"; "coco"; "threads"; "fuel"; "kernel"; "max_threads";
-      "gmt" ];
+    [ "op"; "technique"; "coco"; "threads"; "fuel"; "max_threads" ];
   Buffer.add_char b '\x00';
   Buffer.add_string b payload;
   Digest.to_hex (Digest.string (Buffer.contents b))

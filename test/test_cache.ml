@@ -260,34 +260,32 @@ let test_compile_cached () =
 
 (* Execution-engine independence: the cache key digests the scheduling
    inputs (canonical text, technique, thread count, COCO, tool version)
-   and nothing about how the result will be simulated. Switching
-   [Sim.kernel] must neither miss the cache nor change what the cached
-   artifact measures. *)
+   and nothing about how the result will be simulated. Every
+   [Sim.kernel] must hit the same entry, and simulating the cached
+   artifact under it must reproduce the cycles [measure_artifact]
+   reports. *)
 let test_kernel_independent () =
+  let module Sim = Gmt_machine.Sim in
+  let module W = Gmt_workloads.Workload in
   let w = workload "ks" in
   let canonical = Text.print w in
   let cache = Cache.create () in
   let a0 = V.compile_cached ~cache ~n_threads:2 ~canonical V.Gremio w in
   Alcotest.(check bool) "seed compile is a miss" false a0.V.a_from_cache;
-  let reference = V.measure_artifact ~kernel:`Legacy a0 in
+  let reference = V.measure_artifact a0 in
   List.iter
     (fun kernel ->
+      let name = Sim.kernel_name kernel in
       let a = V.compile_cached ~cache ~n_threads:2 ~canonical V.Gremio w in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s run hits the same entry"
-           (Gmt_machine.Sim.kernel_name kernel))
-        true a.V.a_from_cache;
-      let m = V.measure_artifact ~kernel a in
-      Alcotest.(check int)
-        (Printf.sprintf "%s cycles" (Gmt_machine.Sim.kernel_name kernel))
-        reference.V.cycles m.V.cycles;
-      Alcotest.(check int)
-        (Printf.sprintf "%s dyn_instrs" (Gmt_machine.Sim.kernel_name kernel))
-        reference.V.dyn_instrs m.V.dyn_instrs;
-      Alcotest.(check int)
-        (Printf.sprintf "%s comm_instrs" (Gmt_machine.Sim.kernel_name kernel))
-        reference.V.comm_instrs m.V.comm_instrs)
-    Gmt_machine.Sim.all_kernels;
+      Alcotest.(check bool) (name ^ " run hits the same entry") true
+        a.V.a_from_cache;
+      let r =
+        Sim.run ~kernel ~init_regs:w.W.reference.W.regs
+          ~init_mem:w.W.reference.W.mem (V.machine_config V.Gremio) a.V.a_mtp
+          ~mem_size:w.W.mem_size
+      in
+      Alcotest.(check int) (name ^ " cycles") reference.V.cycles r.Sim.cycles)
+    Sim.all_kernels;
   Alcotest.(check int) "one store total" 1 (Cache.stats cache).Cache.stores
 
 let tests =

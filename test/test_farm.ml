@@ -346,7 +346,11 @@ let test_frame_dribble () =
 
 (* --------------------- retry classification ----------------------- *)
 
-(* A scripted daemon impostor: one callback per accepted connection. *)
+(* A scripted daemon impostor: one callback per accepted connection.
+   Returns [f path] and the number of connections the listener served,
+   counted only after its domain has been joined — the client may see
+   the listener hang up before the listener has recorded the
+   connection. *)
 let with_fake_listener behaviors f =
   let path = fresh_socket () in
   let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -363,12 +367,15 @@ let with_fake_listener behaviors f =
             Atomic.incr served)
           behaviors)
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Domain.join dom;
-      Unix.close lfd;
-      try Sys.remove path with _ -> ())
-    (fun () -> f path served)
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Domain.join dom;
+        Unix.close lfd;
+        try Sys.remove path with _ -> ())
+      (fun () -> f path)
+  in
+  (r, Atomic.get served)
 
 let read_then_hang_up fd = ignore (Proto.read_frame fd)
 
@@ -381,31 +388,32 @@ let read_then_pong fd =
    must retry exactly once on a fresh connection — and succeed when the
    restarted daemon answers. *)
 let test_retry_once_on_lost_connection () =
-  with_fake_listener [ read_then_hang_up; read_then_pong ]
-  @@ fun path served ->
-  (match Client.ping ~socket:path with
-  | Ok v -> Alcotest.(check string) "retried ping answers" Proto.version v
-  | Error `No_daemon -> Alcotest.fail "EOF misclassified as No_daemon"
-  | Error (`Busy m) -> Alcotest.failf "unexpected busy: %s" m
-  | Error (`Protocol m) -> Alcotest.failf "retry did not recover: %s" m);
-  Alcotest.(check int) "exactly two connections" 2 (Atomic.get served)
+  let (), served =
+    with_fake_listener [ read_then_hang_up; read_then_pong ] @@ fun path ->
+    match Client.ping ~socket:path with
+    | Ok v -> Alcotest.(check string) "retried ping answers" Proto.version v
+    | Error `No_daemon -> Alcotest.fail "EOF misclassified as No_daemon"
+    | Error (`Busy m) -> Alcotest.failf "unexpected busy: %s" m
+    | Error (`Protocol m) -> Alcotest.failf "retry did not recover: %s" m
+  in
+  Alcotest.(check int) "exactly two connections" 2 served
 
 (* Lost twice: the retry is not a loop. The second EOF surfaces as a
    protocol error and no third connection is attempted. *)
 let test_lost_twice_gives_up () =
-  with_fake_listener [ read_then_hang_up; read_then_hang_up ]
-  @@ fun path served ->
-  (match Client.ping ~socket:path with
-  | Error (`Protocol m) ->
-    Alcotest.(check bool)
-      (Printf.sprintf "error names the double loss (%s)" m)
-      true
-      (String.length m >= 5)
-  | Ok _ -> Alcotest.fail "expected a protocol error after two losses"
-  | Error `No_daemon -> Alcotest.fail "double loss misclassified as No_daemon"
-  | Error (`Busy m) -> Alcotest.failf "unexpected busy: %s" m);
-  Alcotest.(check int) "exactly two connections, no third" 2
-    (Atomic.get served)
+  let (), served =
+    with_fake_listener [ read_then_hang_up; read_then_hang_up ] @@ fun path ->
+    match Client.ping ~socket:path with
+    | Error (`Protocol m) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error names the double loss (%s)" m)
+        true
+        (String.length m >= 5)
+    | Ok _ -> Alcotest.fail "expected a protocol error after two losses"
+    | Error `No_daemon -> Alcotest.fail "double loss misclassified as No_daemon"
+    | Error (`Busy m) -> Alcotest.failf "unexpected busy: %s" m
+  in
+  Alcotest.(check int) "exactly two connections, no third" 2 served
 
 (* Connection refused (a bound-then-closed TCP port) is No_daemon — the
    failover / local-fallback signal, distinct from the retry path. *)

@@ -280,73 +280,6 @@ let prop_mincut_disconnects =
         cap_sum = cut.Maxflow.value && not reach.(sink)
       end)
 
-(* The two max-flow algorithms must agree. *)
-module Push = Gmt_graphalg.Maxflow_push
-
-let test_push_relabel_simple () =
-  let net = Push.create 4 in
-  ignore (Push.add_arc net 0 1 3);
-  ignore (Push.add_arc net 0 2 2);
-  ignore (Push.add_arc net 1 3 2);
-  ignore (Push.add_arc net 2 3 3);
-  Alcotest.(check int) "max flow" 4 (Push.max_flow net ~src:0 ~sink:3)
-
-let test_push_relabel_min_cut () =
-  let net = Push.create 3 in
-  ignore (Push.add_arc net 0 1 10);
-  let bottleneck = Push.add_arc net 1 2 1 in
-  let cut = Push.min_cut net ~src:0 ~sink:2 in
-  Alcotest.(check int) "value" 1 cut.Push.value;
-  Alcotest.(check (list int)) "cut arc" [ bottleneck ]
-    (List.map (fun (_, _, id) -> id) cut.Push.arcs)
-
-let prop_push_equals_edmonds_karp =
-  QCheck.Test.make ~count:300
-    ~name:"preflow-push flow value = Edmonds-Karp flow value"
-    QCheck.(
-      pair (int_range 2 9)
-        (small_list (triple (int_range 0 8) (int_range 0 8) (int_range 0 12))))
-    (fun (n, raw_arcs) ->
-      let arcs =
-        List.filter_map
-          (fun (u, v, c) ->
-            if u < n && v < n && u <> v then Some (u, v, c) else None)
-          raw_arcs
-      in
-      let src = 0 and sink = n - 1 in
-      let ek = Maxflow.create n in
-      let pr = Push.create n in
-      List.iter
-        (fun (u, v, c) ->
-          ignore (Maxflow.add_arc ek u v c);
-          ignore (Push.add_arc pr u v c))
-        arcs;
-      Maxflow.max_flow ek ~src ~sink = Push.max_flow pr ~src ~sink)
-
-let prop_push_cut_disconnects =
-  QCheck.Test.make ~count:200 ~name:"preflow-push min-cut disconnects"
-    QCheck.(
-      pair (int_range 2 8)
-        (small_list (triple (int_range 0 7) (int_range 0 7) (int_range 0 9))))
-    (fun (n, raw_arcs) ->
-      let arcs =
-        List.filter_map
-          (fun (u, v, c) ->
-            if u < n && v < n && u <> v then Some (u, v, c) else None)
-          raw_arcs
-      in
-      let src = 0 and sink = n - 1 in
-      let net = Push.create n in
-      let ids = List.map (fun (u, v, c) -> (Push.add_arc net u v c, u, v)) arcs in
-      let cut = Push.min_cut net ~src ~sink in
-      let cut_ids = List.map (fun (_, _, id) -> id) cut.Push.arcs in
-      let g = Digraph.create n in
-      List.iter
-        (fun (id, u, v) ->
-          if not (List.mem id cut_ids) then Digraph.add_edge g u v)
-        ids;
-      not (Digraph.reachable g [ src ]).(sink))
-
 let prop_scc_condensation_acyclic =
   QCheck.Test.make ~count:200 ~name:"SCC condensation is acyclic"
     QCheck.(
@@ -387,10 +320,6 @@ let tests =
     Alcotest.test_case "multicut shared" `Quick test_multicut_two_pairs_share;
     Alcotest.test_case "multicut disjoint" `Quick test_multicut_disjoint_pairs;
     Alcotest.test_case "multicut validates" `Quick test_multicut_validates;
-    Alcotest.test_case "push-relabel simple" `Quick test_push_relabel_simple;
-    Alcotest.test_case "push-relabel min-cut" `Quick test_push_relabel_min_cut;
     QCheck_alcotest.to_alcotest prop_mincut_disconnects;
-    QCheck_alcotest.to_alcotest prop_push_equals_edmonds_karp;
-    QCheck_alcotest.to_alcotest prop_push_cut_disconnects;
     QCheck_alcotest.to_alcotest prop_scc_condensation_acyclic;
   ]

@@ -275,6 +275,25 @@ let test_malformed_frame () =
   Alcotest.(check bool) "connection closed" true
     (match Proto.read_frame fd with Error `Eof -> true | _ -> false)
 
+(* The frame payload is the only way a program arrives: a compile
+   request that inlines the program in a "gmt" field and attaches
+   nothing is refused like any request without a program. *)
+let test_gmt_field_ignored () =
+  with_server @@ fun srv ->
+  let req =
+    Client.check_request ~gmt:"" ~technique:"gremio" ~coco:false ~threads:2 ()
+  in
+  let body =
+    match req.Client.body with
+    | Json.Obj fields ->
+      Json.Obj (fields @ [ ("gmt", Json.Str (Text.print (workload "ks"))) ])
+    | j -> j
+  in
+  let o = request_ok ~socket:(Server.socket srv) { req with Client.body } in
+  Alcotest.(check int) "exit" Render.exit_parse o.Render.code;
+  Alcotest.(check string) "stderr" "gmtc: request lacks GMT-IR\n" o.Render.err;
+  Alcotest.(check string) "stdout" "" o.Render.out
+
 (* ------------------------- fuel timeout ---------------------------- *)
 
 let test_fuel_timeout () =
@@ -531,6 +550,7 @@ let tests =
     Alcotest.test_case "busy under concurrent load" `Quick
       test_busy_under_load;
     Alcotest.test_case "malformed frame rejected" `Quick test_malformed_frame;
+    Alcotest.test_case "inline gmt field ignored" `Quick test_gmt_field_ignored;
     Alcotest.test_case "fuel timeout" `Quick test_fuel_timeout;
     Alcotest.test_case "server fuel cap" `Quick test_fuel_cap;
     Alcotest.test_case "traced request round-trip" `Quick test_traced_request;

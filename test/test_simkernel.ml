@@ -1,10 +1,10 @@
 (* The simulator issue-loop kernels and the parallel evaluation harness.
 
    Two determinism contracts are enforced here:
-   - all three issue-loop kernels (legacy list-walking, decoded
-     flat-array, jit closure-compiled) produce byte-identical results on
-     random structured programs (single- and multi-threaded, with random
-     partitions), and the three interpreter engines agree likewise; and
+   - the jit issue-loop kernel produces byte-identical results to the
+     legacy list-walking oracle on random structured programs (single-
+     and multi-threaded, with random partitions), and the interpreter
+     engines agree likewise; and
    - Velocity.run_matrix over the Pool yields byte-identical metrics for
      every jobs count, 1..4, on the full benchmark suite. *)
 
@@ -19,7 +19,7 @@ module V = Gmt_core.Velocity
 module W = Gmt_workloads.Workload
 module Suite = Gmt_workloads.Suite
 
-(* ------- legacy == decoded == jit on random programs ------- *)
+(* ------------- legacy == jit on random programs ------------- *)
 
 let sim_results_equal (a : Sim.result) (b : Sim.result) =
   a.Sim.cycles = b.Sim.cycles
@@ -32,17 +32,13 @@ let sim_results_equal (a : Sim.result) (b : Sim.result) =
   && a.Sim.queue_peak = b.Sim.queue_peak
   && a.Sim.deadlock_report = b.Sim.deadlock_report
 
-(* Run one simulation under every kernel and require byte-identical
+(* Run one simulation under both kernels and require byte-identical
    results, legacy as the reference. *)
-let all_kernels_agree run =
-  let reference = run `Legacy in
-  List.for_all
-    (fun k -> sim_results_equal reference (run k))
-    [ `Decoded; `Jit ]
+let all_kernels_agree run = sim_results_equal (run `Legacy) (run `Jit)
 
 let prop_kernels_agree_single =
   QCheck.Test.make ~count:120
-    ~name:"legacy == decoded == jit (single-threaded)"
+    ~name:"legacy == jit (single-threaded)"
     Test_props.arbitrary_case
     (fun (stmts, _seed, _n_threads) ->
       let f = Test_props.lower stmts in
@@ -54,7 +50,7 @@ let prop_kernels_agree_single =
 
 let prop_kernels_agree_mt =
   QCheck.Test.make ~count:80
-    ~name:"legacy == decoded == jit (MTCG output, random partitions)"
+    ~name:"legacy == jit (MTCG output, random partitions)"
     Test_props.arbitrary_case
     (fun (stmts, seed, n_threads) ->
       let f = Test_props.lower stmts in
@@ -103,7 +99,7 @@ let profiles_equal cfg a b =
 
 let prop_interp_engines_agree =
   QCheck.Test.make ~count:100
-    ~name:"interp engines agree (legacy == decoded == jit)"
+    ~name:"interp engines agree (legacy == jit)"
     Test_props.arbitrary_case
     (fun (stmts, _seed, _n_threads) ->
       let f = Test_props.lower stmts in
@@ -111,16 +107,12 @@ let prop_interp_engines_agree =
         Interp.run ~fuel:200_000 ~engine ~init_regs:Test_props.init_regs
           ~init_mem:Test_props.init_mem f ~mem_size:Test_props.mem_size
       in
-      let a = run `Legacy in
-      List.for_all
-        (fun engine ->
-          let b = run engine in
-          a.Interp.memory = b.Interp.memory
-          && a.Interp.regs = b.Interp.regs
-          && a.Interp.dyn_instrs = b.Interp.dyn_instrs
-          && a.Interp.fuel_exhausted = b.Interp.fuel_exhausted
-          && profiles_equal f.Func.cfg a.Interp.profile b.Interp.profile)
-        [ `Decoded; `Jit ])
+      let a = run `Legacy and b = run `Jit in
+      a.Interp.memory = b.Interp.memory
+      && a.Interp.regs = b.Interp.regs
+      && a.Interp.dyn_instrs = b.Interp.dyn_instrs
+      && a.Interp.fuel_exhausted = b.Interp.fuel_exhausted
+      && profiles_equal f.Func.cfg a.Interp.profile b.Interp.profile)
 
 let mt_results_equal (a : Mt_interp.result) (b : Mt_interp.result) =
   a.Mt_interp.memory = b.Mt_interp.memory
@@ -146,10 +138,7 @@ let prop_mt_interp_engines_agree =
               ~init_regs:Test_props.init_regs ~init_mem:Test_props.init_mem
               mtp ~queue_capacity:4 ~mem_size:Test_props.mem_size
           in
-          let a = run `Legacy in
-          List.for_all
-            (fun engine -> mt_results_equal a (run engine))
-            [ `Decoded; `Jit ])
+          mt_results_equal (run `Legacy) (run `Jit))
         [ Mt_interp.Round_robin; Mt_interp.Random seed ])
 
 (* --------------------- the domain pool --------------------- *)

@@ -1,6 +1,7 @@
 (* gmt_telemetry: histogram bucket layout (golden), merge algebra
    (QCheck), rolling windows under a driven clock, the event log's
-   sampling/ring semantics, and registry export well-formedness. *)
+   sampling/ring semantics, registry export well-formedness, and span
+   timestamps surviving the wire. *)
 
 module H = Gmt_telemetry.Histogram
 module Rolling = Gmt_telemetry.Rolling
@@ -299,6 +300,35 @@ let test_registry_export () =
     "last bucket = count" (Some 4)
     (match List.rev cum with x :: _ -> Some x | [] -> None)
 
+(* ------------------------------- trace ------------------------------ *)
+
+(* A daemon ships its spans back as JSON text; an epoch timestamp in
+   microseconds (about 1.8e15) must survive the trip to the microsecond,
+   or stitched daemon spans land at the wrong place on the timeline. *)
+let test_span_timestamps_round_trip () =
+  let module Trace = Gmt_telemetry.Trace in
+  let module Obs = Gmt_obs.Obs in
+  let s =
+    {
+      Obs.name = "req.compile";
+      cat = "stage";
+      ts_us = Unix.gettimeofday () *. 1e6;
+      dur_us = 1234.567;
+      alloc_bytes = 4096.;
+      domain = 1;
+      args = [];
+    }
+  in
+  let text = Json.to_string (Trace.spans_to_json [ s ]) in
+  match Json.parse text with
+  | Error e -> Alcotest.failf "spans JSON does not parse: %s" e
+  | Ok j -> (
+    match Trace.spans_of_json j with
+    | [ s' ] ->
+      Alcotest.(check (float 1.0)) "ts_us within 1us" s.Obs.ts_us s'.Obs.ts_us;
+      Alcotest.(check (float 1e-6)) "dur_us" s.Obs.dur_us s'.Obs.dur_us
+    | l -> Alcotest.failf "expected one span back, got %d" (List.length l))
+
 let tests =
   [
     Alcotest.test_case "bucket layout (golden)" `Quick test_bucket_layout;
@@ -313,4 +343,6 @@ let tests =
       test_events_ring_and_sampling;
     Alcotest.test_case "registry export + prometheus" `Quick
       test_registry_export;
+    Alcotest.test_case "span timestamps survive the wire" `Quick
+      test_span_timestamps_round_trip;
   ]
