@@ -2,19 +2,24 @@ let format_version = 3
 
 let compute ?(version = format_version) ~text ~technique ~n_threads ~coco
     ~machine () =
-  let buf = Buffer.create (String.length text + 256) in
-  let field k v =
-    Buffer.add_string buf k;
-    Buffer.add_char buf '=';
-    Buffer.add_string buf (string_of_int (String.length v));
-    Buffer.add_char buf ':';
-    Buffer.add_string buf v;
-    Buffer.add_char buf '\n'
+  let field k v = Printf.sprintf "%s=%d:%s\n" k (String.length v) v in
+  let head =
+    String.concat ""
+      [
+        field "gmt-cache" (string_of_int version);
+        field "technique" technique;
+        field "n_threads" (string_of_int n_threads);
+        field "coco" (string_of_bool coco);
+        field "machine" machine;
+        Printf.sprintf "text=%d:" (String.length text);
+      ]
   in
-  field "gmt-cache" (string_of_int version);
-  field "technique" technique;
-  field "n_threads" (string_of_int n_threads);
-  field "coco" (string_of_bool coco);
-  field "machine" machine;
-  field "text" text;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  (* The text is the bulk of the digest input (hundreds of KB): it is
+     copied once, into an exact-size buffer, not through a growable
+     [Buffer] and then [Buffer.contents]. *)
+  let h = String.length head and n = String.length text in
+  let buf = Bytes.create (h + n + 1) in
+  Bytes.blit_string head 0 buf 0 h;
+  Bytes.blit_string text 0 buf h n;
+  Bytes.set buf (h + n) '\n';
+  Digest.to_hex (Digest.bytes buf)

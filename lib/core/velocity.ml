@@ -187,17 +187,13 @@ let fingerprint ?(n_threads = 2) ?(coco = false) technique ~canonical =
     ()
 
 let compile_cached ?cache ?(n_threads = 2) ?(coco = false) ?(verify = true)
-    ~canonical technique (w : Workload.t) =
-  let key =
-    Obs.span ~cat:"stage" "req.fingerprint" (fun () ->
-        fingerprint ~n_threads ~coco technique ~canonical)
-  in
+    technique (w : Workload.t) =
   (* Only verified artifacts are stored, so an unverified compile must
      not be served from (or written to) the cache. *)
   let cache = if verify then cache else None in
   match
     Obs.span ~cat:"stage" "req.cache.lookup" (fun () ->
-        Option.bind cache (fun c -> Gmt_cache.Cache.find c key))
+        Option.bind cache (fun (c, key) -> Gmt_cache.Cache.find c key))
   with
   | Some e ->
     {
@@ -217,7 +213,7 @@ let compile_cached ?cache ?(n_threads = 2) ?(coco = false) ?(verify = true)
     in
     let comm_sites = List.length c.plan.Mtcg.comms in
     Option.iter
-      (fun cch ->
+      (fun (cch, key) ->
         Gmt_cache.Cache.store cch key
           {
             Gmt_cache.Cache.mtp = c.mtp;

@@ -85,9 +85,10 @@ val compile :
     The compile pipeline is a deterministic function of (canonical
     GMT-IR text, technique, thread count, machine configuration), which
     makes its output a content-addressable artifact. {!compile_cached}
-    consults an optional {!Gmt_cache.Cache.t} keyed by {!fingerprint}; a
-    hit skips the whole pipeline {e and} re-verification (the stored
-    verdict rides along), a miss compiles, verifies and stores. *)
+    consults an optional {!Gmt_cache.Cache.t} under a {!fingerprint}
+    the caller computed; a hit skips the whole pipeline {e and}
+    re-verification (the stored verdict rides along), a miss compiles,
+    verifies and stores. *)
 
 (** What a cache hit reconstructs: enough to measure ({!a_mtp}) and to
     render the [gmtc check]/service reports, without the PDG, partition
@@ -110,17 +111,17 @@ type artifact = {
 val fingerprint :
   ?n_threads:int -> ?coco:bool -> technique -> canonical:string -> string
 
-(** [compile_cached ?cache ~canonical tech w] — with a cache and
-    [verify] (default true), look up the {!fingerprint} first and store
-    the artifact after a miss; without a cache (or with [~verify:false],
-    whose output the cache never holds) this is plain {!compile}.
+(** [compile_cached ?cache:(c, key) tech w] — with a cache and [verify]
+    (default true), look [key] up first and store the artifact under it
+    after a miss; [key] must be the {!fingerprint} of [w]'s cell.
+    Without a cache (or with [~verify:false], whose output the cache
+    never holds) this is plain {!compile} and hashes nothing.
     @raise Failure when verification rejects freshly generated code. *)
 val compile_cached :
-  ?cache:Gmt_cache.Cache.t ->
+  ?cache:Gmt_cache.Cache.t * string ->
   ?n_threads:int ->
   ?coco:bool ->
   ?verify:bool ->
-  canonical:string ->
   technique ->
   Workload.t ->
   artifact

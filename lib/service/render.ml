@@ -80,11 +80,8 @@ let cell_label (w : W.t) technique coco =
 
 (* ------------------------------- run ------------------------------- *)
 
-let run ?cache ?canonical ?(jobs = 1) ?fuel ?(verify = true)
-    ~technique ~coco ~threads (w : W.t) =
-  let canonical =
-    match canonical with Some c -> c | None -> Text.print w
-  in
+let run ?cache ?(jobs = 1) ?fuel ?(verify = true) ~technique ~coco ~threads
+    (w : W.t) =
   let label = cell_label w technique coco in
   let status = ref (if cache = None then "none" else "miss") in
   guarded status @@ fun () ->
@@ -98,7 +95,7 @@ let run ?cache ?canonical ?(jobs = 1) ?fuel ?(verify = true)
         (fun () ->
           let a =
             V.compile_cached ?cache ~n_threads:threads ~coco ~verify
-              ~canonical technique w
+              technique w
           in
           `Mt
             ( a,
@@ -139,92 +136,82 @@ let verified_out ~label ~threads n_queues comm_sites =
   Printf.sprintf "%s: verified (%d threads, %d queues, %d comm sites)\n" label
     threads n_queues comm_sites
 
-let check ?cache ?canonical ~technique ~coco ~threads (w : W.t) =
+let lookup cache =
+  Obs.span ~cat:"stage" "req.cache.lookup" (fun () ->
+      Option.bind cache (fun (c, key) -> Cache.find c key))
+
+let hit_outcome ~label ~threads (e : Cache.entry) =
+  {
+    out = verified_out ~label ~threads e.Cache.mtp.Gmt_ir.Mtprog.n_queues
+        e.Cache.comm_sites;
+    err = "";
+    code = 0;
+    cache_status = "hit";
+  }
+
+(* A check whose lookup missed (or that has no cache): compile
+   unverified, validate, and store only a clean artifact. *)
+let check_miss ?cache ~technique ~coco ~threads (w : W.t) =
   let label = cell_label w technique coco in
-  let canonical =
-    match canonical with Some c -> c | None -> Text.print w
+  let cache_status = if cache = None then "none" else "miss" in
+  guarded (ref cache_status) @@ fun () ->
+  let c =
+    Obs.span ~cat:"stage" "req.compile" (fun () ->
+        V.compile ~n_threads:threads ~coco ~verify:false technique w)
   in
-  let key =
-    Obs.span ~cat:"stage" "req.fingerprint" (fun () ->
-        V.fingerprint ~n_threads:threads ~coco technique ~canonical)
-  in
-  let verified_out = verified_out ~label ~threads in
-  guarded (ref (if cache = None then "none" else "miss")) @@ fun () ->
-  match
-    Obs.span ~cat:"stage" "req.cache.lookup" (fun () ->
-        Option.bind cache (fun c -> Cache.find c key))
-  with
-  | Some e ->
+  let diags = V.verify_compiled c in
+  let comm_sites = List.length c.V.plan.Gmt_mtcg.Mtcg.comms in
+  if diags = [] then begin
+    Option.iter
+      (fun (cch, key) ->
+        Cache.store cch key
+          {
+            Cache.mtp = c.V.mtp;
+            comm_sites;
+            verified = true;
+            w_name = w.W.name;
+          })
+      cache;
     {
-      out =
-        verified_out e.Cache.mtp.Gmt_ir.Mtprog.n_queues e.Cache.comm_sites;
+      out = verified_out ~label ~threads c.V.mtp.Gmt_ir.Mtprog.n_queues
+          comm_sites;
       err = "";
       code = 0;
-      cache_status = "hit";
+      cache_status;
     }
-  | None ->
-    let c =
-      Obs.span ~cat:"stage" "req.compile" (fun () ->
-          V.compile ~n_threads:threads ~coco ~verify:false technique w)
-    in
-    let diags = V.verify_compiled c in
-    let comm_sites = List.length c.V.plan.Gmt_mtcg.Mtcg.comms in
-    if diags = [] then begin
-      Option.iter
-        (fun cch ->
-          Cache.store cch key
-            {
-              Cache.mtp = c.V.mtp;
-              comm_sites;
-              verified = true;
-              w_name = w.W.name;
-            })
-        cache;
-      {
-        out = verified_out c.V.mtp.Gmt_ir.Mtprog.n_queues comm_sites;
-        err = "";
-        code = 0;
-        cache_status = (if cache = None then "none" else "miss");
-      }
-    end
-    else
-      {
-        out = "";
-        err =
-          Printf.sprintf "%s: translation validation FAILED (%d diagnostics)\n%s\n"
-            label (List.length diags) (Verify.render diags);
-        code = exit_verify;
-        cache_status = (if cache = None then "none" else "miss");
-      }
+  end
+  else
+    {
+      out = "";
+      err =
+        Printf.sprintf
+          "%s: translation validation FAILED (%d diagnostics)\n%s\n" label
+          (List.length diags) (Verify.render diags);
+      code = exit_verify;
+      cache_status;
+    }
 
-(* The service's hot path: fingerprint the received text as-is and only
-   pay for parsing on a miss. A hit needs no [Workload.t] at all — the
-   label comes from the [w_name] the entry recorded at store time, so a
-   warm check costs one digest over the request bytes plus a table
-   lookup. Non-canonical text from a foreign client simply keys its own
-   entry; the reply bytes are identical either way. *)
+let check ?cache ~technique ~coco ~threads (w : W.t) =
+  match lookup cache with
+  | Some e ->
+    hit_outcome ~label:(cell_label w technique coco) ~threads e
+  | None -> check_miss ?cache ~technique ~coco ~threads w
+
+(* The service's hot path: the caller keyed the received text as-is,
+   and parsing is paid only on a miss. A hit needs no [Workload.t] at
+   all — the label comes from the [w_name] the entry recorded at store
+   time, so a warm check costs the caller's one digest over the request
+   bytes plus a table lookup. Non-canonical text from a foreign client
+   simply keys its own entry; the reply bytes are identical either
+   way. *)
 let check_text ?cache ~technique ~coco ~threads text =
-  let key =
-    Obs.span ~cat:"stage" "req.fingerprint" (fun () ->
-        V.fingerprint ~n_threads:threads ~coco technique ~canonical:text)
-  in
-  match
-    Obs.span ~cat:"stage" "req.cache.lookup" (fun () ->
-        Option.bind cache (fun c -> Cache.find c key))
-  with
+  match lookup cache with
   | Some e ->
     let label =
       Printf.sprintf "%s/%s" e.Cache.w_name
         (V.cell_name (V.Mt (technique, coco)))
     in
-    {
-      out =
-        verified_out ~label ~threads e.Cache.mtp.Gmt_ir.Mtprog.n_queues
-          e.Cache.comm_sites;
-      err = "";
-      code = 0;
-      cache_status = "hit";
-    }
+    hit_outcome ~label ~threads e
   | None -> (
     match Text.parse ~file:"<request>" text with
     | Error e ->
@@ -234,7 +221,7 @@ let check_text ?cache ~technique ~coco ~threads text =
         code = exit_parse;
         cache_status = (if cache = None then "none" else "miss");
       }
-    | Ok w -> check ?cache ~canonical:text ~technique ~coco ~threads w)
+    | Ok w -> check_miss ?cache ~technique ~coco ~threads w)
 
 (* ------------------------------ sweep ------------------------------ *)
 

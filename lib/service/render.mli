@@ -42,12 +42,12 @@ type outcome = {
 (** [gmtc run]: single-threaded baseline vs one compiled cell, with the
     speedup report. [fuel] bounds the untimed interpreter and the
     simulator; exhaustion yields {!exit_timeout}. [jobs] only changes
-    scheduling, never bytes. [canonical], when the caller already holds
-    the canonical GMT-IR text (the server receives it on the wire),
-    skips the [Text.print] for the cache key. *)
+    scheduling, never bytes. [cache] pairs the artifact cache with the
+    cell's key, {!V.fingerprint} of the program text: the caller (the
+    server, which receives the text on the wire) computes it once, and
+    nothing here prints or hashes the program. *)
 val run :
-  ?cache:Gmt_cache.Cache.t ->
-  ?canonical:string ->
+  ?cache:Gmt_cache.Cache.t * string ->
   ?jobs:int ->
   ?fuel:int ->
   ?verify:bool ->
@@ -59,23 +59,23 @@ val run :
 
 (** [gmtc check]: translation-validate one cell. A cache hit serves the
     stored verdict; a miss compiles unverified, runs the validator, and
-    stores only a clean artifact. [canonical] as for {!run}. *)
+    stores only a clean artifact. [cache] as for {!run}. *)
 val check :
-  ?cache:Gmt_cache.Cache.t ->
-  ?canonical:string ->
+  ?cache:Gmt_cache.Cache.t * string ->
   technique:V.technique ->
   coco:bool ->
   threads:int ->
   Workload.t ->
   outcome
 
-(** [check_text] is {!check} taking the GMT-IR text itself: it
-    fingerprints the received bytes directly, so a cache hit never
+(** [check_text] is {!check} taking the GMT-IR text itself, with the
+    key the caller computed over the received bytes: a cache hit never
     parses or re-prints the program — this is the server's warm path. A
     miss parses (a parse error renders as offline [gmtc]'s, with
-    {!exit_parse}) and falls through to {!check}. *)
+    {!exit_parse}) and compiles as {!check} does, without a second
+    lookup. *)
 val check_text :
-  ?cache:Gmt_cache.Cache.t ->
+  ?cache:Gmt_cache.Cache.t * string ->
   technique:V.technique ->
   coco:bool ->
   threads:int ->

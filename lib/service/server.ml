@@ -180,58 +180,107 @@ let effective_fuel cfg req_fuel =
   | Some f, None -> Some f
   | None, cap -> cap
 
-(* The compile ops carry the canonical GMT-IR text as the frame payload,
-   the only way a program arrives; the client already resolved names and
-   files, so a parse failure here means a foreign client — it gets the
-   same message and exit offline gmtc would give for a broken [.gmt]
-   file. [check] defers parsing to {!Render.check_text} so a warm
-   request never pays for it; [run] and [sweep] simulate and must parse
-   regardless, but still key the cache on the received bytes. Fields the
-   server does not read (a stale client's "kernel" or "gmt") are ignored
-   like any other unknown field. *)
-let compile_request t j text op =
-  let fuel =
-    Obs.span ~cat:"stage" "req.decode" (fun () ->
-        effective_fuel t.cfg (Proto.int_field j "fuel"))
+(* A compile request, decoded once. The compile ops carry the canonical
+   GMT-IR text as the frame payload, the only way a program arrives;
+   fields the server does not read (a stale client's "kernel" or "gmt")
+   are ignored like any other unknown field. *)
+type cell = { technique : V.technique; coco : bool; threads : int }
+type job = Run of cell | Check of cell | Sweep of int  (* max_threads *)
+type request = { job : job; fuel : int option (* as requested *) }
+
+(* A request that lacks a program or names an unknown technique is
+   answered here, before any flight starts — with the message and exit
+   offline gmtc gives. *)
+let decode j payload =
+  Obs.span ~cat:"stage" "req.decode" @@ fun () ->
+  let fuel = Proto.int_field j "fuel" in
+  let cell make =
+    let name = Option.value (Proto.str_field j "technique") ~default:"" in
+    match Render.technique_of_name name with
+    | None ->
+      Error
+        (outcome_err ~code:Render.exit_unknown
+           (Printf.sprintf "gmtc: unknown technique %S (known: gremio, dswp)\n"
+              name))
+    | Some technique ->
+      let coco = Option.value (Proto.bool_field j "coco") ~default:false in
+      let threads = Option.value (Proto.int_field j "threads") ~default:2 in
+      Ok { job = make { technique; coco; threads }; fuel }
   in
-  if text = "" then
-    outcome_err ~code:Render.exit_parse "gmtc: request lacks GMT-IR\n"
+  if payload = "" then
+    Error (outcome_err ~code:Render.exit_parse "gmtc: request lacks GMT-IR\n")
   else
-    let parsed () =
-      match Text.parse ~file:"<request>" text with
-      | Error e ->
-        Error
-          (outcome_err ~code:Render.exit_parse
-             (Printf.sprintf "gmtc: %s\n" (Text.render_error e)))
-      | Ok w -> Ok w
+    match Proto.str_field j "op" with
+    | Some "run" -> cell (fun c -> Run c)
+    | Some "check" -> cell (fun c -> Check c)
+    | Some "sweep" ->
+      let max_threads =
+        Option.value (Proto.int_field j "max_threads") ~default:4
+      in
+      Ok { job = Sweep max_threads; fuel }
+    | _ -> invalid_arg "Server.decode: not a compile request"
+
+(* The request's one digest over its payload, and the single-flight key
+   derived from it. For a run/check the digest is the cell's
+   artifact-cache key, which already covers the technique, COCO flag,
+   thread count and program text; the flight key adds the op and the
+   requested fuel, the rest of what enters the outcome. A sweep has no
+   cell: its flight key is a plain payload digest plus max_threads and
+   fuel. Deliberately NOT the trace id, so traced and untraced clients
+   coalesce (each reply still carries its own trace id; waiters just
+   ship no server-side stage spans past this point). *)
+let keys { job; fuel } payload =
+  Obs.span ~cat:"stage" "req.fingerprint" @@ fun () ->
+  let fuel = match fuel with None -> "-" | Some f -> string_of_int f in
+  let cell op c =
+    let key =
+      V.fingerprint ~n_threads:c.threads ~coco:c.coco c.technique
+        ~canonical:payload
     in
-    match op with
-    | `Sweep -> (
-      match parsed () with
-      | Error o -> o
-      | Ok w ->
-        let max_threads =
-          Option.value (Proto.int_field j "max_threads") ~default:4
-        in
-        Render.sweep ~jobs:1 ?fuel ~max_threads w)
-    | (`Run | `Check) as op -> (
-      let name = Option.value (Proto.str_field j "technique") ~default:"" in
-      match Render.technique_of_name name with
-      | None ->
-        outcome_err ~code:Render.exit_unknown
-          (Printf.sprintf "gmtc: unknown technique %S (known: gremio, dswp)\n"
-             name)
-      | Some technique -> (
-        let coco = Option.value (Proto.bool_field j "coco") ~default:false in
-        let threads = Option.value (Proto.int_field j "threads") ~default:2 in
-        match op with
-        | `Check -> Render.check_text ~cache:t.cache ~technique ~coco ~threads text
-        | `Run -> (
-          match parsed () with
-          | Error o -> o
-          | Ok w ->
-            Render.run ~cache:t.cache ~canonical:text ~jobs:1 ?fuel ~technique
-              ~coco ~threads w)))
+    (key, String.concat " " [ op; fuel; key ])
+  in
+  match job with
+  | Run c -> cell "run" c
+  | Check c -> cell "check" c
+  | Sweep max_threads ->
+    let digest = Digest.to_hex (Digest.string payload) in
+    let flight =
+      String.concat " " [ "sweep"; fuel; string_of_int max_threads; digest ]
+    in
+    (digest, flight)
+
+let request_keys j payload =
+  Result.map
+    (fun r ->
+      let key, flight = keys r payload in
+      match r.job with
+      | Sweep _ -> (None, flight)
+      | Run _ | Check _ -> (Some key, flight))
+    (decode j payload)
+
+(* Render a decoded request under its cell [key]. [check] defers parsing
+   to {!Render.check_text} so a warm request never pays for it; [run]
+   and [sweep] simulate and must parse regardless. A parse failure here
+   means a foreign client — it gets the same message and exit offline
+   gmtc would give for a broken [.gmt] file. *)
+let serve t { job; fuel } key payload =
+  let fuel = effective_fuel t.cfg fuel in
+  let parsed render =
+    match Text.parse ~file:"<request>" payload with
+    | Error e ->
+      outcome_err ~code:Render.exit_parse
+        (Printf.sprintf "gmtc: %s\n" (Text.render_error e))
+    | Ok w -> render w
+  in
+  match job with
+  | Sweep max_threads -> parsed (Render.sweep ~jobs:1 ?fuel ~max_threads)
+  | Check c ->
+    Render.check_text ~cache:(t.cache, key) ~technique:c.technique
+      ~coco:c.coco ~threads:c.threads payload
+  | Run c ->
+    parsed
+      (Render.run ~cache:(t.cache, key) ~jobs:1 ?fuel ~technique:c.technique
+         ~coco:c.coco ~threads:c.threads)
 
 let stats_json t =
   let s = Cache.stats t.cache in
@@ -339,26 +388,6 @@ let account ins ~name ~t0 ~now (o : Render.outcome) spans =
   end;
   if o.Render.code <> 0 then Registry.incr ins.c_errors
 
-(* The single-flight key: every request field that enters the outcome,
-   plus the program text, which arrives only as the frame payload.
-   Deliberately NOT the trace id, so traced and untraced clients
-   coalesce (each reply still carries its own trace id; waiters just
-   ship no server-side spans). *)
-let flight_key j payload =
-  let b = Buffer.create (String.length payload + 128) in
-  List.iter
-    (fun k ->
-      Buffer.add_string b k;
-      Buffer.add_char b '=';
-      (match Json.member k j with
-      | Some v -> Buffer.add_string b (Json.to_string v)
-      | None -> ());
-      Buffer.add_char b ';')
-    [ "op"; "technique"; "coco"; "threads"; "fuel"; "max_threads" ];
-  Buffer.add_char b '\x00';
-  Buffer.add_string b payload;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 let handle_request t j payload =
   match Proto.str_field j "op" with
   | Some "ping" ->
@@ -390,12 +419,6 @@ let handle_request t j payload =
           Json.Obj [ ("ok", Json.Bool true); ("ingested", Json.Bool ingested) ]
       ))
   | Some (("run" | "check" | "sweep") as name) ->
-    let op =
-      match name with
-      | "run" -> `Run
-      | "check" -> `Check
-      | _ -> `Sweep
-    in
     let trace_id = Proto.str_field j "trace_id" in
     let t0 = Unix.gettimeofday () in
     (match t.ins with
@@ -410,16 +433,20 @@ let handle_request t j payload =
       | None -> []
     in
     (* Single-flight: concurrent requests on one key run the compile
-       once. The leader's inner stage spans complete on its own domain
-       (so only the leader feeds the stage histograms); a waiter's span
-       tree holds just its serve.* wait — its reply is byte-identical to
-       the leader's but ships no server-side stage spans. *)
+       once. Every request decodes and keys itself; past that, the
+       leader's inner stage spans complete on its own domain (so only
+       the leader feeds the lookup/compile/simulate histograms) and a
+       waiter's span tree holds just its serve.* wait — its reply is
+       byte-identical to the leader's. *)
     let compiled () =
-      match t.flight with
-      | None -> (compile_request t j payload op, `Led)
-      | Some sf ->
-        Singleflight.run sf (flight_key j payload) (fun () ->
-            compile_request t j payload op)
+      match decode j payload with
+      | Error o -> (o, `Led)
+      | Ok r -> (
+        let key, flight = keys r payload in
+        let serve () = serve t r key payload in
+        match t.flight with
+        | None -> (serve (), `Led)
+        | Some sf -> Singleflight.run sf flight serve)
     in
     (* Collect the request's span tree when either consumer wants it:
        the stage histograms (telemetry on) or a traced client. [Render]

@@ -76,6 +76,21 @@ val tcp_port : t -> int option
     bench harness, tests) can read it without a socket round-trip. *)
 val registry : t -> Gmt_telemetry.Registry.t option
 
+(** [request_keys j payload] — the keys the daemon derives for a [run],
+    [check] or [sweep] request document [j] carrying the GMT-IR
+    [payload], from the one digest it takes over the payload.
+    [Ok (cell, flight)]: [cell] is a run/check cell's artifact-cache
+    key, {!Gmt_core.Velocity.fingerprint} of the payload, which is also
+    the key the farm routes by ([None] for a sweep); [flight] is the
+    single-flight key, the cell key plus the op and the requested fuel
+    (for a sweep, a payload digest plus max_threads and fuel). Trace
+    fields never enter either key. [Error o] is the outcome a request
+    without a program or with an unknown technique gets before any
+    flight starts.
+    @raise Invalid_argument when [j]'s op is not a compile op. *)
+val request_keys :
+  Gmt_obs.Json.t -> string -> (string option * string, Render.outcome) result
+
 (** Ask the accept loop to stop. Returns immediately; pair with
     {!join}. Safe from a signal handler's continuation. *)
 val request_stop : t -> unit

@@ -11,9 +11,11 @@
     An exception from [f] is re-raised in the leader {e and} every
     joined waiter.
 
-    The shard server wraps compile requests in this keyed on the request
-    digest, so M concurrent misses on one fingerprint cost one compile
-    and M replies — the [`Led]/[`Joined] split feeds the
+    The server wraps compile requests in this, keyed on a flight key it
+    derives from the request's one payload digest (the cell's cache key
+    plus op and fuel; see {!Server.request_keys}), so M concurrent
+    misses on one fingerprint cost one compile and M replies — the
+    [`Led]/[`Joined] split feeds the
     [farm.singleflight.leads]/[farm.singleflight.waits] counters. *)
 
 type 'a t

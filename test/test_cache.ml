@@ -238,11 +238,11 @@ let test_atomic_write () =
 
 let test_compile_cached () =
   let w = workload "ks" in
-  let canonical = Text.print w in
+  let key = fingerprint "ks" V.Gremio false in
   let cache = Cache.create () in
-  let a1 = V.compile_cached ~cache ~n_threads:2 ~canonical V.Gremio w in
+  let a1 = V.compile_cached ~cache:(cache, key) ~n_threads:2 V.Gremio w in
   Alcotest.(check bool) "first compile is a miss" false a1.V.a_from_cache;
-  let a2 = V.compile_cached ~cache ~n_threads:2 ~canonical V.Gremio w in
+  let a2 = V.compile_cached ~cache:(cache, key) ~n_threads:2 V.Gremio w in
   Alcotest.(check bool) "second compile hits" true a2.V.a_from_cache;
   Alcotest.(check bool) "hit is verified" true a2.V.a_verified;
   (* The cached artifact simulates to the same numbers. *)
@@ -252,7 +252,7 @@ let test_compile_cached () =
   (* An unverified compile must not poison the verified cache. *)
   let cache2 = Cache.create () in
   let a3 =
-    V.compile_cached ~cache:cache2 ~n_threads:2 ~verify:false ~canonical
+    V.compile_cached ~cache:(cache2, key) ~n_threads:2 ~verify:false
       V.Gremio w
   in
   Alcotest.(check bool) "unverified not cached" false a3.V.a_from_cache;
@@ -268,15 +268,15 @@ let test_kernel_independent () =
   let module Sim = Gmt_machine.Sim in
   let module W = Gmt_workloads.Workload in
   let w = workload "ks" in
-  let canonical = Text.print w in
+  let key = fingerprint "ks" V.Gremio false in
   let cache = Cache.create () in
-  let a0 = V.compile_cached ~cache ~n_threads:2 ~canonical V.Gremio w in
+  let a0 = V.compile_cached ~cache:(cache, key) ~n_threads:2 V.Gremio w in
   Alcotest.(check bool) "seed compile is a miss" false a0.V.a_from_cache;
   let reference = V.measure_artifact a0 in
   List.iter
     (fun kernel ->
       let name = Sim.kernel_name kernel in
-      let a = V.compile_cached ~cache ~n_threads:2 ~canonical V.Gremio w in
+      let a = V.compile_cached ~cache:(cache, key) ~n_threads:2 V.Gremio w in
       Alcotest.(check bool) (name ^ " run hits the same entry") true
         a.V.a_from_cache;
       let r =

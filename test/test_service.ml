@@ -202,27 +202,40 @@ let test_busy_under_load () =
   let req =
     Client.run_request ~gmt ~technique:"gremio" ~coco:false ~threads:2 ()
   in
+  (* Alcotest reports through one shared formatter that is not
+     domain-safe, so a client only records what it saw — replies, busy
+     messages, and the error that ended it early — and every assertion
+     runs here after the join. *)
   let clients =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
-            let ok = ref [] and busy = ref 0 in
-            for _ = 1 to 20 do
-              match Client.request ~socket req with
-              | Ok o -> ok := o :: !ok
-              | Error (`Busy msg) ->
-                Alcotest.(check bool) "busy names itself" true
-                  (String.length msg >= 10
-                  && String.sub msg 0 10 = "gmtd: busy");
-                incr busy
-              | Error `No_daemon -> Alcotest.fail "daemon vanished under load"
-              | Error (`Protocol m) ->
-                Alcotest.failf "protocol error under load: %s" m
-            done;
-            (!ok, !busy)))
+            let rec go n ok busy =
+              if n = 0 then (ok, busy, None)
+              else
+                match Client.request ~socket req with
+                | Ok o -> go (n - 1) (o :: ok) busy
+                | Error (`Busy msg) -> go (n - 1) ok (msg :: busy)
+                | Error `No_daemon ->
+                  (ok, busy, Some "daemon vanished under load")
+                | Error (`Protocol m) ->
+                  (ok, busy, Some ("protocol error under load: " ^ m))
+            in
+            go 20 [] []))
   in
   let replies = List.map Domain.join clients in
-  let oks = List.concat_map fst replies in
-  let busy = List.fold_left (fun a (_, b) -> a + b) 0 replies in
+  List.iter (fun (_, _, error) -> Option.iter Alcotest.fail error) replies;
+  List.iter
+    (fun (_, busy, _) ->
+      List.iter
+        (fun msg ->
+          Alcotest.(check bool) "busy names itself" true
+            (String.length msg >= 10 && String.sub msg 0 10 = "gmtd: busy"))
+        busy)
+    replies;
+  let oks = List.concat_map (fun (ok, _, _) -> ok) replies in
+  let busy =
+    List.fold_left (fun a (_, b, _) -> a + List.length b) 0 replies
+  in
   Alcotest.(check bool) "some requests answered" true (oks <> []);
   Alcotest.(check bool) "bound actually pushed back" true (busy > 0);
   List.iter (fun o -> check_outcome "loaded reply" offline o) oks;
@@ -376,6 +389,41 @@ let test_traced_request () =
     Trace.stage_names;
   Alcotest.(check bool) "serve span present" true
     (List.exists (fun (s : Obs.span) -> s.Obs.name = "serve.run") spans);
+  (* One digest per request: a cold check (a cell the run above did not
+     store) carries exactly one fingerprint span, and a warm check of
+     the largest kernel allocates about one copy of its payload — the
+     key's digest input — rather than copies per hash. *)
+  let traced_check ~technique gmt =
+    let req =
+      Client.traced ~trace_id
+        (Client.check_request ~gmt ~technique ~coco:false ~threads:2 ())
+    in
+    match Client.rpc ~socket req with
+    | Ok j -> (
+      match (Proto.str_field j "cache", Json.member "spans" j) with
+      | Some status, Some arr -> (status, Trace.spans_of_json arr)
+      | _ -> Alcotest.fail "traced check reply lacks cache status or spans")
+    | Error _ -> Alcotest.fail "traced check failed"
+  in
+  let named name spans =
+    List.filter (fun (s : Obs.span) -> s.Obs.name = name) spans
+  in
+  let status, cold = traced_check ~technique:"dswp" gmt in
+  Alcotest.(check string) "check is cold" "miss" status;
+  Alcotest.(check int) "cold check: one req.fingerprint span" 1
+    (List.length (named "req.fingerprint" cold));
+  let mesa = Text.print (workload "177.mesa") in
+  ignore (traced_check ~technique:"gremio" mesa);
+  let status, warm = traced_check ~technique:"gremio" mesa in
+  Alcotest.(check string) "mesa check is warm" "hit" status;
+  (match named "serve.check" warm with
+  | [ serve ] ->
+    let ratio = serve.Obs.alloc_bytes /. float_of_int (String.length mesa) in
+    Alcotest.(check bool)
+      (Printf.sprintf "warm check allocates %.2fx its payload (< 1.5x)" ratio)
+      true (ratio < 1.5)
+  | l ->
+    Alcotest.failf "warm check: %d serve.check spans" (List.length l));
   (* Stitch: a typed client call inside a collect scope adopts the
      reply's spans next to the local round-trip span, and the resulting
      Chrome trace is well-formed JSON with both halves. *)
@@ -529,6 +577,88 @@ let test_telemetry_off () =
       (Json.member "prometheus" j = None)
   | Error _ -> Alcotest.fail "stats rpc failed"
 
+(* --------------------------- request keys -------------------------- *)
+
+(* The single-flight key is derived from the request's one digest
+   rather than hashed from its raw fields, so pin what it must keep:
+   every field that enters the outcome separates flights, the trace
+   fields do not, and the cell key is the key the farm routes by (so
+   routing and caching agree). *)
+let test_request_keys () =
+  let gmt = Text.print (workload "ks") in
+  let keys (req : Client.req) =
+    match Server.request_keys req.Client.body req.Client.payload with
+    | Ok k -> k
+    | Error o ->
+      Alcotest.failf "request answered before keying: %s" o.Render.err
+  in
+  let run ?fuel ?(gmt = gmt) ?(technique = "gremio") ?(coco = false)
+      ?(threads = 2) () =
+    Client.run_request ~gmt ~technique ~coco ~threads ?fuel ()
+  in
+  let base = run () in
+  let flight req = snd (keys req) in
+  let flipped =
+    let b = Bytes.of_string gmt in
+    let i = Bytes.length b / 2 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+    Bytes.to_string b
+  in
+  let sweep ?fuel max_threads =
+    Client.sweep_request ~gmt ~max_threads ?fuel ()
+  in
+  let variants =
+    [
+      ("base", base);
+      ( "op",
+        Client.check_request ~gmt ~technique:"gremio" ~coco:false ~threads:2 ()
+      );
+      ("technique", run ~technique:"dswp" ());
+      ("coco", run ~coco:true ());
+      ("threads", run ~threads:3 ());
+      ("fuel", run ~fuel:1000 ());
+      ("other fuel", run ~fuel:1001 ());
+      ("one payload byte", run ~gmt:flipped ());
+      ("sweep", sweep 4);
+      ("sweep max_threads", sweep 3);
+      ("sweep fuel", sweep ~fuel:1000 4);
+    ]
+  in
+  let flights = List.map (fun (label, req) -> (label, flight req)) variants in
+  List.iter
+    (fun (label, f) ->
+      List.iter
+        (fun (other, g) ->
+          if label <> other then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s vs %s: distinct flights" label other)
+              false (f = g))
+        flights)
+    flights;
+  List.iter
+    (fun (label, req) ->
+      Alcotest.(check string) (label ^ " ignored") (flight base) (flight req))
+    [
+      ("trace_id", Client.traced ~trace_id:"0123456789abcdef" base);
+      ( "parent_span",
+        Client.traced ~parent_span:"elsewhere" ~trace_id:"0123456789abcdef"
+          base );
+      ("other trace_id", Client.traced ~trace_id:"fedcba9876543210" base);
+    ];
+  List.iter
+    (fun (technique, tname, coco) ->
+      let req = run ~technique:tname ~coco () in
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s%s: cell key = farm routing key" tname
+           (if coco then "+coco" else ""))
+        (Some
+           (Gmt_farm.Farm.compile_key ~technique ~coco ~threads:2
+              ~canonical:gmt))
+        (fst (keys req)))
+    [ (V.Gremio, "gremio", false); (V.Dswp, "dswp", true) ];
+  Alcotest.(check (option string)) "a sweep has no cell key" None
+    (fst (keys (sweep 4)))
+
 (* ------------------------------ ping ------------------------------- *)
 
 let test_ping () =
@@ -554,6 +684,7 @@ let tests =
     Alcotest.test_case "fuel timeout" `Quick test_fuel_timeout;
     Alcotest.test_case "server fuel cap" `Quick test_fuel_cap;
     Alcotest.test_case "traced request round-trip" `Quick test_traced_request;
+    Alcotest.test_case "request keys" `Quick test_request_keys;
     Alcotest.test_case "stats/2 frame" `Quick test_stats2_frame;
     Alcotest.test_case "telemetry off" `Quick test_telemetry_off;
     Alcotest.test_case "ping" `Quick test_ping;
