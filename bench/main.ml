@@ -29,7 +29,8 @@
    results are byte-identical for every N. `--smoke` runs a tiny-fuel
    3-kernel matrix through the pool plus a legacy-vs-jit simulator
    equivalence check (CI's @smoke alias). `--bench-smoke` validates the
-   committed BENCH_fig8.json and re-proves one cell's legacy-vs-jit
+   committed BENCH_fig8.json, re-runs the full matrix to re-prove every
+   cell's committed counts, and re-proves one cell's legacy-vs-jit
    equivalence (CI's @bench-smoke alias, folded into @smoke).
    `--telemetry-smoke` validates the committed BENCH_service.json
    (schema, percentile ordering, the telemetry overhead gate) and lints
@@ -52,6 +53,22 @@ module Json = Gmt_obs.Json
 module Sim = Gmt_machine.Sim
 
 type row = V.row
+
+(* A simulator entry point, and the two the fig8 comparison times,
+   oracle first: the legacy result is the reference the jit engine is
+   checked against. Their names are the [kernels] keys of
+   BENCH_fig8.json. *)
+type engine =
+  ?fuel:int ->
+  ?init_regs:(Gmt_ir.Reg.t * int) list ->
+  ?init_mem:(int * int) list ->
+  Config.t ->
+  Gmt_ir.Mtprog.t ->
+  mem_size:int ->
+  Sim.result
+
+let engines : (string * engine) list =
+  [ ("legacy", Gmt_machine.Legacy.run); ("jit", Sim.run) ]
 
 let jobs : int option ref = ref None
 let matrix_wall = ref 0.0
@@ -178,50 +195,46 @@ let time_thunk f =
 let kernel_compare_cells ws =
   Printf.eprintf "[bench] timing %d cells under %d engines...\n%!"
     (List.length ws * List.length V.matrix_kinds)
-    (List.length Sim.all_kernels);
+    (List.length engines);
   List.concat_map
     (fun (w : W.t) ->
       List.map
         (fun kind ->
-          let run =
+          let mc, p =
             match kind with
             | V.Single ->
-              let mc = Config.itanium2 () in
-              fun kernel ->
-                Sim.run_single ~kernel ~init_regs:w.W.reference.W.regs
-                  ~init_mem:w.W.reference.W.mem mc w.W.func
-                  ~mem_size:w.W.mem_size
+              ( Config.itanium2 (),
+                Gmt_ir.Mtprog.make ~name:w.W.func.Gmt_ir.Func.name
+                  ~threads:[| w.W.func |] ~n_queues:0 )
             | V.Mt (tech, coco) ->
-              let c = V.compile ~coco tech w in
-              let mc = V.machine_config tech in
-              fun kernel ->
-                Sim.run ~kernel ~init_regs:w.W.reference.W.regs
-                  ~init_mem:w.W.reference.W.mem mc c.V.mtp
-                  ~mem_size:w.W.mem_size
+              (V.machine_config tech, (V.compile ~coco tech w).V.mtp)
           in
-          (* [Sim.all_kernels] is oracle-first: the legacy result is the
-             reference the jit engine is checked against. Wall clock
-             is the min over three runs — the simulator is deterministic,
-             so spread between runs is allocator/GC noise, and the min is
-             the cleanest estimate of the engine's cost. *)
+          let run (engine : engine) =
+            engine ~init_regs:w.W.reference.W.regs
+              ~init_mem:w.W.reference.W.mem mc p ~mem_size:w.W.mem_size
+          in
+          (* Wall clock is the min over three runs — the simulator is
+             deterministic, so spread between runs is allocator/GC
+             noise, and the min is the cleanest estimate of the engine's
+             cost. *)
           let reps = 3 in
           let timed =
             List.map
-              (fun k ->
-                let r0, s0 = time_thunk (fun () -> run k) in
+              (fun (kn, engine) ->
+                let r0, s0 = time_thunk (fun () -> run engine) in
                 let best = ref s0 in
                 for _ = 2 to reps do
-                  let r, s = time_thunk (fun () -> run k) in
+                  let r, s = time_thunk (fun () -> run engine) in
                   if r <> r0 then begin
                     Printf.eprintf
                       "[bench] FAIL: %s/%s: %s engine nondeterministic\n"
-                      w.W.name (V.cell_name kind) (Sim.kernel_name k);
+                      w.W.name (V.cell_name kind) kn;
                     exit 1
                   end;
                   if s < !best then best := s
                 done;
-                (Sim.kernel_name k, r0, !best))
-              Sim.all_kernels
+                (kn, r0, !best))
+              engines
           in
           (match timed with
           | (_, reference, _) :: rest ->
@@ -712,11 +725,11 @@ let smoke () =
     (fun (w : W.t) ->
       let c = V.compile V.Gremio w in
       let mc = V.machine_config V.Gremio in
-      let run kernel =
-        Gmt_machine.Sim.run ~fuel ~kernel ~init_regs:w.W.reference.W.regs
+      let run (engine : engine) =
+        engine ~fuel ~init_regs:w.W.reference.W.regs
           ~init_mem:w.W.reference.W.mem mc c.V.mtp ~mem_size:w.W.mem_size
       in
-      if run `Jit <> run `Legacy then begin
+      if run Sim.run <> run Gmt_machine.Legacy.run then begin
         Printf.eprintf "[smoke] FAIL: %s jit/legacy results differ\n" w.W.name;
         exit 1
       end)
@@ -834,11 +847,12 @@ let verify_matrix () =
 
 (* --bench-smoke: validate the committed BENCH_fig8.json — it must
    parse, carry the current schema, record in every cell a wall-clock
-   entry for exactly the engines of [Sim.all_kernels], and record a
-   jit-vs-legacy geomean at or above the 5x floor — then re-prove on one
-   live cell that jit and legacy still produce bit-identical results. The JSON checks read the
-   committed artifact (deterministic in CI); only the equivalence gate
-   simulates. Runs under CI's @bench-smoke alias, folded into @smoke. *)
+   entry for exactly the [engines], and record a jit-vs-legacy geomean
+   at or above the 5x floor. Then re-prove it live: the full matrix,
+   re-run sequentially, must reproduce every cell's committed cycles and
+   dynamic instruction, communication and sync counts, and on one cell
+   jit and legacy must still produce bit-identical results. Runs under
+   CI's @bench-smoke alias, folded into @smoke. *)
 let bench_smoke path =
   let t0 = Unix.gettimeofday () in
   let fail fmt =
@@ -853,66 +867,101 @@ let bench_smoke path =
     | s -> s
     | exception Sys_error e -> fail "cannot read %s: %s" path e
   in
-  (match Json.parse text with
-  | Error e -> fail "%s malformed: %s" path e
-  | Ok j ->
-    (match Json.member "schema" j with
-    | Some (Json.Str "gmt-bench-fig8/5") -> ()
-    | _ -> fail "%s lacks schema gmt-bench-fig8/5" path);
-    (match Json.member "kernel_geomean_speedup" j with
-    | Some (Json.Num g) when g >= 5.0 -> ()
-    | Some (Json.Num g) ->
-      fail "recorded jit-vs-legacy geomean %.2fx is below the 5x floor" g
-    | _ -> fail "%s lacks kernel_geomean_speedup" path);
-    (match Json.member "cells" j with
-    | Some (Json.Arr (_ :: _ as cs)) ->
-      let want = List.sort compare (List.map Sim.kernel_name Sim.all_kernels) in
-      List.iter
-        (fun c ->
-          match Json.member "kernels" c with
-          | Some (Json.Obj ks) ->
-            let got = List.sort compare (List.map fst ks) in
-            if got <> want then
-              fail "a cell's kernels are {%s}, want exactly {%s}"
-                (String.concat ", " got) (String.concat ", " want)
-          | _ -> fail "a cell lacks a kernels object")
-        cs;
-      let expected =
-        List.length (Suite.all ()) * List.length V.matrix_kinds
-      in
-      if List.length cs <> expected then
-        fail "%s has %d cells, want %d" path (List.length cs) expected;
-      (* The static disambiguator must actually bite: at least one MT
-         cell records pruned memory arcs, and every cell carries the
-         lint wall-clock column. *)
-      let total_pruned =
-        List.fold_left
-          (fun acc c ->
-            (match Json.member "lint_ms" c with
-            | Some (Json.Num _) -> ()
-            | _ -> fail "a cell lacks lint_ms");
-            match Json.member "arcs_pruned" c with
-            | Some (Json.Num n) -> acc +. n
-            | _ -> fail "a cell lacks arcs_pruned")
-          0.0 cs
-      in
-      if total_pruned <= 0.0 then
-        fail "no cell records a positive arcs_pruned"
-    | _ -> fail "%s lacks a cells array" path));
+  let cs =
+    match Json.parse text with
+    | Error e -> fail "%s malformed: %s" path e
+    | Ok j -> (
+      (match Json.member "schema" j with
+      | Some (Json.Str "gmt-bench-fig8/5") -> ()
+      | _ -> fail "%s lacks schema gmt-bench-fig8/5" path);
+      (match Json.member "kernel_geomean_speedup" j with
+      | Some (Json.Num g) when g >= 5.0 -> ()
+      | Some (Json.Num g) ->
+        fail "recorded jit-vs-legacy geomean %.2fx is below the 5x floor" g
+      | _ -> fail "%s lacks kernel_geomean_speedup" path);
+      match Json.member "cells" j with
+      | Some (Json.Arr (_ :: _ as cs)) -> cs
+      | _ -> fail "%s lacks a cells array" path)
+  in
+  let want = List.sort compare (List.map fst engines) in
+  List.iter
+    (fun c ->
+      match Json.member "kernels" c with
+      | Some (Json.Obj ks) ->
+        let got = List.sort compare (List.map fst ks) in
+        if got <> want then
+          fail "a cell's kernels are {%s}, want exactly {%s}"
+            (String.concat ", " got) (String.concat ", " want)
+      | _ -> fail "a cell lacks a kernels object")
+    cs;
+  let ws = Suite.all () in
+  let expected = List.length ws * List.length V.matrix_kinds in
+  if List.length cs <> expected then
+    fail "%s has %d cells, want %d" path (List.length cs) expected;
+  (* The static disambiguator must actually bite: at least one MT
+     cell records pruned memory arcs, and every cell carries the
+     lint wall-clock column. *)
+  let total_pruned =
+    List.fold_left
+      (fun acc c ->
+        (match Json.member "lint_ms" c with
+        | Some (Json.Num _) -> ()
+        | _ -> fail "a cell lacks lint_ms");
+        match Json.member "arcs_pruned" c with
+        | Some (Json.Num n) -> acc +. n
+        | _ -> fail "a cell lacks arcs_pruned")
+      0.0 cs
+  in
+  if total_pruned <= 0.0 then fail "no cell records a positive arcs_pruned";
+  let count_fields = [ "cycles"; "dyn_instrs"; "comm_instrs"; "mem_syncs" ] in
+  let committed c =
+    let str k =
+      match Json.member k c with
+      | Some (Json.Str v) -> v
+      | _ -> fail "a cell lacks %s" k
+    in
+    ( (str "bench", str "config"),
+      List.map
+        (fun k ->
+          match Json.member k c with
+          | Some (Json.Num v) -> int_of_float v
+          | _ -> fail "a cell lacks %s" k)
+        count_fields )
+  in
+  let committed = List.map committed cs in
+  List.iter
+    (fun (r : row) ->
+      List.iter2
+        (fun kind (t : V.timed) ->
+          let m = t.V.metrics in
+          let cell = (r.V.rw.W.name, V.cell_name kind) in
+          match List.assoc_opt cell committed with
+          | None -> fail "%s/%s is not in %s" (fst cell) (snd cell) path
+          | Some want ->
+            let got =
+              [ m.V.cycles; m.V.dyn_instrs; m.V.comm_instrs; m.V.mem_syncs ]
+            in
+            if m.V.fuel_exhausted || got <> want then
+              fail "%s/%s: live %s = %s, committed %s" (fst cell) (snd cell)
+                (String.concat "/" count_fields)
+                (String.concat "/" (List.map string_of_int got))
+                (String.concat "/" (List.map string_of_int want)))
+        V.matrix_kinds
+        [ r.V.st; r.V.gremio; r.V.gremio_coco; r.V.dswp; r.V.dswp_coco ])
+    (V.run_matrix ~jobs:1 ws);
   let w = Suite.find "ks" in
   let c = V.compile ~coco:true V.Gremio w in
   let mc = V.machine_config V.Gremio in
-  let run kernel =
-    Sim.run ~kernel ~init_regs:w.W.reference.W.regs
-      ~init_mem:w.W.reference.W.mem mc c.V.mtp ~mem_size:w.W.mem_size
+  let run (engine : engine) =
+    engine ~init_regs:w.W.reference.W.regs ~init_mem:w.W.reference.W.mem mc
+      c.V.mtp ~mem_size:w.W.mem_size
   in
-  if run `Jit <> run `Legacy then
+  if run Sim.run <> run Gmt_machine.Legacy.run then
     fail "ks/gremio+coco: jit engine disagrees with legacy";
   Printf.printf
-    "[bench-smoke] ok: %s schema valid, geomean floor met, ks cell \
-     identical across %d engines (%.2fs)\n"
-    path
-    (List.length Sim.all_kernels)
+    "[bench-smoke] ok: %s schema valid, geomean floor met, %d cells' \
+     counts re-proved, ks cell identical across %d engines (%.2fs)\n"
+    path expected (List.length engines)
     (Unix.gettimeofday () -. t0)
 
 (* fuzz: the corpus-driven differential fuzzer (explicit section, like

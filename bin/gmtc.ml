@@ -140,8 +140,11 @@ let fuel_opt_arg =
     & opt (some pos_int_conv) None
     & info [ "fuel" ] ~docv:"STEPS"
         ~doc:
-          "Budget of interpreter/simulator steps; exhausting it aborts the \
-           measurement with exit code 5 instead of running forever.")
+          "Step budget: for $(b,run), the cycles of each simulation (the \
+           single-threaded reference, then the compiled cell); for \
+           $(b,sweep), the interpreter steps of each run. Exhausting it \
+           aborts the measurement with exit code 5 instead of running \
+           forever.")
 
 (* Print exactly what a Render outcome says and exit with its code —
    the one funnel both local and remote execution drain through. *)
@@ -351,16 +354,12 @@ let check_cmd =
 (* ------------------------------ run ------------------------------ *)
 
 let run_cmd =
-  let run bench tech coco threads no_verify jobs fuel trace metrics =
+  let run bench tech coco threads no_verify fuel trace metrics =
     let w = resolve_workload bench in
     let technique = resolve_technique tech in
-    let jobs = resolve_jobs jobs in
     with_obs trace metrics @@ fun () ->
-    (* The single-threaded baseline and the multi-threaded cell are
-       independent; Render.run fans them out over the domain pool. *)
     finish_outcome
-      (Render.run ~jobs ?fuel ~verify:(not no_verify) ~technique ~coco
-         ~threads w)
+      (Render.run ?fuel ~verify:(not no_verify) ~technique ~coco ~threads w)
   in
   Cmd.v
     (Cmd.info "run"
@@ -369,7 +368,7 @@ let run_cmd =
           performance.")
     Term.(
       const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg
-      $ no_verify_arg $ jobs_arg $ fuel_opt_arg $ trace_arg $ metrics_arg)
+      $ no_verify_arg $ fuel_opt_arg $ trace_arg $ metrics_arg)
 
 (* ------------------------------ dot ------------------------------ *)
 
@@ -1010,7 +1009,7 @@ let remote_run_cmd =
       ~trace ~metrics ~op:"run"
       ~fallback:(fun () ->
         let technique = resolve_technique tech in
-        Render.run ~jobs:1 ?fuel ~technique ~coco ~threads w)
+        Render.run ?fuel ~technique ~coco ~threads w)
       (Client.run_request ~gmt ~technique:tech ~coco ~threads ?fuel ())
   in
   Cmd.v

@@ -1,7 +1,6 @@
 open Gmt_ir
 module Workload = Gmt_workloads.Workload
 module Interp = Gmt_machine.Interp
-module Mt_interp = Gmt_machine.Mt_interp
 module Sim = Gmt_machine.Sim
 module Config = Gmt_machine.Config
 module Pdg = Gmt_pdg.Pdg
@@ -244,16 +243,6 @@ type metrics = {
   queue_peak : int array;
 }
 
-let expected_memory (w : Workload.t) =
-  Obs.span ~args:[ ("workload", Obs.S w.Workload.name) ] "oracle.interp"
-  @@ fun () ->
-  let r =
-    Interp.run ~init_regs:w.reference.Workload.regs
-      ~init_mem:w.reference.Workload.mem w.func ~mem_size:w.mem_size
-  in
-  if r.Interp.fuel_exhausted then failwith (w.name ^ ": ref run exhausted fuel");
-  (r.Interp.memory, r.Interp.dyn_instrs)
-
 (* Summarize a simulator run into the metrics registry: per-core cycle
    attribution (each core's buckets sum to [cycles]) and per-queue
    occupancy peaks. No-op unless metrics are enabled. *)
@@ -277,93 +266,93 @@ let record_sim_metrics label (sim : Sim.result) =
       sim.Sim.queue_peak
   end
 
-(* Shared measurement core: everything [measure] needs is the generated
-   program plus the cell identity, so a cache-reconstructed {!artifact}
-   measures through the same code as a fresh {!compiled}. *)
-let measure_prog ?fuel ?expect ~technique ~coco ~n_threads
-    (w : Workload.t) (mtp : Mtprog.t) =
-  let label = mt_label w technique coco in
-  let mc = machine_config ~n_cores:(max 2 n_threads) technique in
-  let expect, _ =
-    match expect with Some e -> e | None -> expected_memory w
-  in
-  (* Untimed run for instruction counts + the correctness check. *)
-  let mt =
-    Obs.span "verify.mt_interp" (fun () ->
-        Mt_interp.run ?fuel
-          ~init_regs:w.reference.Workload.regs
-          ~init_mem:w.reference.Workload.mem mtp
-          ~queue_capacity:mc.Config.queue_size ~mem_size:w.mem_size)
-  in
-  if mt.Mt_interp.deadlocked then
-    raise
-      (Deadlock
-         (String.concat "\n"
-            ((label ^ ": deadlock in untimed interpreter")
-            :: mt.Mt_interp.blocked)));
-  (* A fuel-exhausted run (smoke mode's tiny budgets) has partial memory:
-     the equivalence check only applies to completed runs. *)
-  if (not mt.Mt_interp.fuel_exhausted) && mt.Mt_interp.memory <> expect then
-    failwith (label ^ ": multi-threaded memory diverges");
-  (* Timed run for cycles. *)
+(* The one execution of a measured program: simulate it on the
+   reference input and read every count off that run. *)
+let simulate ?fuel label mc (w : Workload.t) (p : Mtprog.t) =
   let sim =
     Obs.span "sim.run" (fun () ->
         Sim.run ?fuel ~init_regs:w.reference.Workload.regs
-          ~init_mem:w.reference.Workload.mem mc mtp ~mem_size:w.mem_size)
+          ~init_mem:w.reference.Workload.mem mc p ~mem_size:w.mem_size)
   in
   record_sim_metrics label sim;
+  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 sim.Sim.per_core in
+  ( sim,
+    {
+      dyn_instrs = sum (fun c -> c.Sim.instrs);
+      comm_instrs = sum (fun c -> c.Sim.comm_instrs);
+      mem_syncs = sum (fun c -> c.Sim.sync_instrs);
+      cycles = sim.Sim.cycles;
+      deadlocked = sim.Sim.deadlocked;
+      fuel_exhausted = sim.Sim.fuel_exhausted;
+      stall_attr = sim.Sim.stall_attr;
+      queue_peak = sim.Sim.queue_peak;
+    } )
+
+let measure_reference ?fuel (w : Workload.t) =
+  let p =
+    Mtprog.make ~name:w.func.Func.name ~threads:[| w.func |] ~n_queues:0
+  in
+  let sim, m = simulate ?fuel (w.name ^ "/single") (Config.itanium2 ()) w p in
+  (m, (sim.Sim.memory, m.dyn_instrs))
+
+(* The oracle an MT cell is checked against, or [None] when the
+   reference run stopped short and its memory is partial. *)
+let oracle_of ((m : metrics), expect) =
+  if m.fuel_exhausted then None else Some expect
+
+(* A caller's [expect], or else the reference simulated here. *)
+let resolve_oracle ?fuel ?expect w =
+  match expect with
+  | Some e -> Some e
+  | None -> oracle_of (measure_reference ?fuel w)
+
+(* Shared measurement core: everything [measure] needs is the generated
+   program plus the cell identity, so a cache-reconstructed {!artifact}
+   measures through the same code as a fresh {!compiled}. *)
+let measure_prog ?fuel ~oracle ~technique ~coco ~n_threads (w : Workload.t)
+    (mtp : Mtprog.t) =
+  let label = mt_label w technique coco in
+  let mc = machine_config ~n_cores:(max 2 n_threads) technique in
+  let sim, m = simulate ?fuel label mc w mtp in
   if sim.Sim.deadlocked then
     raise
       (Deadlock
          (String.concat "\n"
             ((label ^ ": simulator deadlock") :: sim.Sim.deadlock_report)));
-  if (not sim.Sim.fuel_exhausted) && sim.Sim.memory <> expect then
-    failwith (label ^ ": simulated memory diverges");
-  let syncs =
-    Array.fold_left
-      (fun acc (t : Mt_interp.thread_stats) ->
-        acc + t.Mt_interp.produce_syncs + t.Mt_interp.consume_syncs)
-      0 mt.Mt_interp.threads
-  in
-  {
-    dyn_instrs = Mt_interp.total_dyn mt;
-    comm_instrs = Mt_interp.total_comm mt;
-    mem_syncs = syncs;
-    cycles = sim.Sim.cycles;
-    deadlocked = false;
-    fuel_exhausted = mt.Mt_interp.fuel_exhausted || sim.Sim.fuel_exhausted;
-    stall_attr = sim.Sim.stall_attr;
-    queue_peak = sim.Sim.queue_peak;
-  }
+  (* A fuel-exhausted run (smoke mode's tiny budgets) has partial memory:
+     the equivalence check only applies to a completed run, against a
+     completed reference. *)
+  match oracle with
+  | None -> { m with fuel_exhausted = true }
+  | Some (expect, _) ->
+    if (not m.fuel_exhausted) && sim.Sim.memory <> expect then
+      failwith (label ^ ": simulated memory diverges");
+    m
 
 let measure ?fuel ?expect c =
-  measure_prog ?fuel ?expect ~technique:c.technique ~coco:c.coco
-    ~n_threads:c.n_threads c.workload c.mtp
+  measure_prog ?fuel
+    ~oracle:(resolve_oracle ?fuel ?expect c.workload)
+    ~technique:c.technique ~coco:c.coco ~n_threads:c.n_threads c.workload
+    c.mtp
 
 let measure_artifact ?fuel ?expect (a : artifact) =
-  measure_prog ?fuel ?expect ~technique:a.a_technique ~coco:a.a_coco
-    ~n_threads:a.a_n_threads a.a_workload a.a_mtp
+  measure_prog ?fuel
+    ~oracle:(resolve_oracle ?fuel ?expect a.a_workload)
+    ~technique:a.a_technique ~coco:a.a_coco ~n_threads:a.a_n_threads
+    a.a_workload a.a_mtp
 
 let measure_single ?fuel ?expect (w : Workload.t) =
-  let mc = Config.itanium2 () in
-  let label = w.Workload.name ^ "/single" in
-  let sim =
-    Obs.span "sim.run" (fun () ->
-        Sim.run_single ?fuel ~init_regs:w.reference.Workload.regs
-          ~init_mem:w.reference.Workload.mem mc w.func ~mem_size:w.mem_size)
-  in
-  record_sim_metrics label sim;
-  let _, dyn = match expect with Some e -> e | None -> expected_memory w in
-  {
-    dyn_instrs = dyn;
-    comm_instrs = 0;
-    mem_syncs = 0;
-    cycles = sim.Sim.cycles;
-    deadlocked = sim.Sim.deadlocked;
-    fuel_exhausted = sim.Sim.fuel_exhausted;
-    stall_attr = sim.Sim.stall_attr;
-    queue_peak = sim.Sim.queue_peak;
-  }
+  let m, (memory, dyn) = measure_reference ?fuel w in
+  (match expect with
+  | Some (memory', dyn') when not m.fuel_exhausted ->
+    if memory <> memory' then
+      failwith (w.name ^ "/single: simulated memory diverges");
+    if dyn <> dyn' then
+      failwith
+        (Printf.sprintf "%s/single: simulated %d instructions, expected %d"
+           w.name dyn dyn')
+  | _ -> ());
+  m
 
 (* ------------------- the evaluation matrix ------------------- *)
 
@@ -374,11 +363,17 @@ let cell_name = function
   | Mt (t, coco) ->
     String.lowercase_ascii (technique_name t) ^ if coco then "+coco" else ""
 
+let measure_mt ?fuel ~oracle ~n_threads technique coco w =
+  let c = compile ~n_threads ~coco technique w in
+  measure_prog ?fuel ~oracle ~technique ~coco ~n_threads w c.mtp
+
 let measure_cell ?fuel ?expect ?(n_threads = 2) kind w =
   match kind with
   | Single -> measure_single ?fuel ?expect w
   | Mt (tech, coco) ->
-    measure ?fuel ?expect (compile ~n_threads ~coco tech w)
+    measure_mt ?fuel
+      ~oracle:(resolve_oracle ?fuel ?expect w)
+      ~n_threads tech coco w
 
 type timed = {
   metrics : metrics;
@@ -395,53 +390,65 @@ type row = {
   dswp_coco : timed;
 }
 
-let matrix_kinds =
-  [ Single; Mt (Gremio, false); Mt (Gremio, true); Mt (Dswp, false);
-    Mt (Dswp, true) ]
+let mt_cells = [ (Gremio, false); (Gremio, true); (Dswp, false); (Dswp, true) ]
+let matrix_kinds = Single :: List.map (fun (t, coco) -> Mt (t, coco)) mt_cells
 
-(* Fan the independent (workload, partitioner, ±COCO) cells of the
-   Fig 7/8 evaluation matrix out across a domain pool. Each cell is pure
-   (its own compile + interpreters + simulator, no shared mutable state),
-   and results are merged in a fixed order, so the output is
-   byte-identical for every [jobs] value, including the inline [jobs=1]
-   path. *)
+(* A cell's wall clock and per-pass breakdown, from its own span tree. *)
+let time_cell label f =
+  let t0 = Unix.gettimeofday () in
+  let r, spans =
+    Obs.collect (fun () -> Obs.span ~cat:"cell" ("cell:" ^ label) f)
+  in
+  let passes =
+    List.filter_map
+      (fun (s : Obs.span) ->
+        if s.Obs.cat = "cell" then None
+        else Some (s.Obs.name, s.Obs.dur_us /. 1e3))
+      spans
+  in
+  (r, Unix.gettimeofday () -. t0, passes)
+
+(* Fan the independent cells of the Fig 7/8 evaluation matrix out
+   across a domain pool. Each cell is pure (its own compile and
+   simulation, no shared mutable state), and results are merged in a
+   fixed order, so the output is byte-identical for every [jobs] value,
+   including the inline [jobs=1] path. *)
 let run_matrix ?jobs ?fuel (ws : Workload.t list) =
-  (* Phase 0: one reference-interpreter run per workload (the oracle
-     memory image + dynamic instruction count), itself fanned out, then
-     shared by that workload's five cells instead of recomputed in each. *)
-  let expects =
+  (* Phase 0: each workload's single-threaded cell. Its simulation is
+     also the row's reference: the oracle memory image every MT cell of
+     the row is checked against. *)
+  let refs =
     Gmt_parallel.Pool.run_list ?jobs
-      (List.map (fun w () -> expected_memory w) ws)
+      (List.map
+         (fun w () ->
+           let (m, expect), wall_s, passes =
+             time_cell (w.Workload.name ^ "/single") (fun () ->
+                 measure_reference ?fuel w)
+           in
+           ({ metrics = m; wall_s; passes }, oracle_of (m, expect)))
+         ws)
   in
-  let cell w expect kind () =
-    let label = w.Workload.name ^ "/" ^ cell_name kind in
-    let t0 = Unix.gettimeofday () in
-    let m, spans =
-      Obs.collect (fun () ->
-          Obs.span ~cat:"cell" ("cell:" ^ label) (fun () ->
-              measure_cell ?fuel ~expect kind w))
+  (* Phase 1: the four MT cells of every row, against its reference. *)
+  let cell w oracle (tech, coco) () =
+    let m, wall_s, passes =
+      time_cell
+        (w.Workload.name ^ "/" ^ cell_name (Mt (tech, coco)))
+        (fun () -> measure_mt ?fuel ~oracle ~n_threads:2 tech coco w)
     in
-    let passes =
-      List.filter_map
-        (fun (s : Obs.span) ->
-          if s.Obs.cat = "cell" then None
-          else Some (s.Obs.name, s.Obs.dur_us /. 1e3))
-        spans
-    in
-    { metrics = m; wall_s = Unix.gettimeofday () -. t0; passes }
+    { metrics = m; wall_s; passes }
   in
-  let tasks =
-    List.concat_map
-      (fun (w, expect) -> List.map (cell w expect) matrix_kinds)
-      (List.combine ws expects)
+  let results =
+    Gmt_parallel.Pool.run_list ?jobs
+      (List.concat_map
+         (fun (w, (_, oracle)) -> List.map (cell w oracle) mt_cells)
+         (List.combine ws refs))
   in
-  let results = Gmt_parallel.Pool.run_list ?jobs tasks in
-  let rec rows ws results =
-    match (ws, results) with
-    | [], [] -> []
-    | w :: ws', st :: g :: gc :: d :: dc :: rest ->
+  let rec rows ws refs results =
+    match (ws, refs, results) with
+    | [], [], [] -> []
+    | w :: ws', (st, _) :: refs', g :: gc :: d :: dc :: rest ->
       { rw = w; st; gremio = g; gremio_coco = gc; dswp = d; dswp_coco = dc }
-      :: rows ws' rest
+      :: rows ws' refs' rest
     | _ -> assert false
   in
-  rows ws results
+  rows ws refs results

@@ -2,9 +2,15 @@
     the paper's system was implemented in: profile the kernel on its train
     input, build the PDG, partition (DSWP or GREMIO), generate
     multi-threaded code (MTCG, optionally with COCO's optimized
-    communication placement), then measure on the reference input with the
-    untimed interpreter (dynamic instruction counts, Figures 1 and 7) and
-    the cycle simulator (speedups, Figure 8). *)
+    communication placement), then measure on the reference input.
+
+    A measured program executes exactly once: one cycle simulation
+    yields its cycles (Figure 8) and its dynamic instruction,
+    communication and synchronization counts (Figures 1 and 7). The
+    single-threaded cell's simulation is also the oracle: every
+    multi-threaded cell's final memory must equal it. The interpreters
+    stay off this path; {!Gmt_machine.Interp} only profiles the train
+    input, and tests pin the simulator to both interpreters. *)
 
 open Gmt_ir
 module Workload = Gmt_workloads.Workload
@@ -13,8 +19,8 @@ type technique = Dswp | Gremio
 
 val technique_name : technique -> string
 
-(** Raised by {!measure} (instead of plain [Failure]) when the untimed
-    interpreter or the simulator deadlocks. The payload's first line
+(** Raised by {!measure} (instead of plain [Failure]) when the simulator
+    deadlocks. The payload's first line
     identifies the cell; subsequent lines name each blocked thread and
     the queue it is stuck on. *)
 exception Deadlock of string
@@ -133,24 +139,40 @@ type metrics = {
   cycles : int;         (** simulated cycles (max over cores) *)
   deadlocked : bool;
   fuel_exhausted : bool;
-      (** the untimed interpreter or the simulator ran out of its [fuel]
-          step budget and stopped mid-flight; counts and cycles are
-          partial and the memory-equivalence check was skipped. The
-          driver and the compile service map this to the distinct
-          timeout exit code. *)
+      (** the simulation ran out of its [fuel] cycle budget and stopped
+          mid-flight (for an MT cell: its own, or the reference it is
+          checked against); counts and cycles are partial and the
+          memory-equivalence check was skipped. The driver and the
+          compile service map this to the distinct timeout exit
+          code. *)
   stall_attr : int array array;
       (** per-core cycle attribution, indexed by
           {!Gmt_machine.Sim.stall_labels}; each row sums to [cycles] *)
   queue_peak : int array;  (** peak occupancy per physical queue *)
 }
 
-(** Execute compiled code on the reference input and also check that its
-    final memory matches the single-threaded run (skipped when [fuel] ran
-    out — smoke mode's tiny budgets stop mid-flight). Both the untimed
-    interpreter and the simulator run their jit engines; the legacy
-    oracles are reached directly through {!Gmt_machine.Sim.run}.
-    [expect] supplies the precomputed reference-run oracle (final memory,
-    dynamic instruction count) — {!run_matrix} computes it once per
+(** {2 Measurement}
+
+    Every measured program executes once, in the cycle simulator.
+    [fuel] bounds each simulation's cycles (default 100M). [expect] is a
+    reference oracle: the single-threaded final memory and dynamic
+    instruction count, as {!measure_reference} returns them. *)
+
+(** Simulate the single-threaded original on the reference input, one
+    core of the paper's machine: the baseline of the Figure 8 speedups,
+    and the oracle its workload's MT cells are checked against
+    (final memory, dynamic instruction count). The oracle is partial
+    when the metrics say [fuel_exhausted]. *)
+val measure_reference :
+  ?fuel:int ->
+  Workload.t ->
+  metrics * (int array * int)
+
+(** Simulate compiled code on the reference input, and check that its
+    final memory matches the oracle [expect] — computed by
+    {!measure_reference} when absent. The check is skipped when the
+    simulation ran out of [fuel]; when the reference did, the cell
+    reports [fuel_exhausted]. {!run_matrix} computes the oracle once per
     workload instead of once per cell.
     @raise Failure on divergence.
     @raise Deadlock on deadlock, with a per-thread blocked report. *)
@@ -167,7 +189,10 @@ val measure_artifact :
   artifact ->
   metrics
 
-(** Single-threaded reference numbers on the reference input. *)
+(** The metrics of {!measure_reference}. With [expect], a completed
+    simulation must also reproduce that oracle's memory and instruction
+    count.
+    @raise Failure when it does not. *)
 val measure_single :
   ?fuel:int ->
   ?expect:int array * int ->
@@ -176,10 +201,12 @@ val measure_single :
 
 (** {2 The evaluation matrix}
 
-    The Fig 1/7/8 matrix is [workloads x matrix_kinds] independent cells;
-    {!run_matrix} executes them concurrently on a {!Gmt_parallel.Pool}
-    and merges results in a fixed order — byte-identical output for every
-    [jobs] value. *)
+    The Fig 1/7/8 matrix is [workloads x matrix_kinds] cells, one
+    simulation each. {!run_matrix} executes them on a
+    {!Gmt_parallel.Pool} in two phases — every workload's single-threaded
+    cell, which is also its row's oracle, then the multi-threaded cells
+    against it — and merges results in a fixed order: byte-identical
+    output for every [jobs] value. *)
 
 type cell_kind = Single | Mt of technique * bool  (** technique, ±COCO *)
 
@@ -189,7 +216,8 @@ val cell_name : cell_kind -> string
 val matrix_kinds : cell_kind list
 (** The five per-workload cells, in matrix order (single first). *)
 
-(** Compile (if multi-threaded) and measure one cell. *)
+(** Compile (if multi-threaded) and measure one cell: {!measure_single}
+    or {!measure}. *)
 val measure_cell :
   ?fuel:int ->
   ?expect:int array * int ->
@@ -216,8 +244,10 @@ type row = {
   dswp_coco : timed;
 }
 
-(** [run_matrix ~jobs ws] evaluates the full matrix over [ws]. [jobs]
-    defaults to {!Gmt_parallel.Pool.default_jobs}. *)
+(** [run_matrix ~jobs ws] evaluates the full matrix over [ws]: 55
+    simulations for the 11-kernel suite. [jobs] defaults to
+    {!Gmt_parallel.Pool.default_jobs}. A row whose reference ran out of
+    [fuel] reports its MT cells [fuel_exhausted]. *)
 val run_matrix :
   ?jobs:int ->
   ?fuel:int ->

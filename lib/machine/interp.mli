@@ -1,8 +1,9 @@
 (** Single-threaded reference interpreter.
 
-    Serves three roles: the semantic oracle multi-threaded code is checked
-    against, the profiler that produces the edge weights COCO's min-cuts
-    use, and the source of single-threaded dynamic instruction counts.
+    Serves two roles: the profiler that produces the edge weights COCO's
+    min-cuts use (the train input), and the semantic oracle of the
+    fuzzer, the lint soundness gate and the tests — which also pin the
+    cycle simulator, the engine measurement runs, to it.
 
     Memory is a flat word-addressed array of size [mem_size] (a power of
     two; addresses wrap). Memory regions are an analysis-level fiction:

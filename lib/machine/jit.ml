@@ -687,6 +687,7 @@ let compile (st : S.t) ci (dp : Decode.t) : (unit -> int) array =
           c.S.s_instrs <- c.S.s_instrs + 1;
           st.S.sa_ports_left <- st.S.sa_ports_left - 1;
           c.S.s_comm <- c.S.s_comm + 1;
+          c.S.s_sync <- c.S.s_sync + 1;
           S.produce_to st q 1;
           c.S.pc <- next_pc;
           0
@@ -731,6 +732,7 @@ let compile (st : S.t) ci (dp : Decode.t) : (unit -> int) array =
           c.S.s_instrs <- c.S.s_instrs + 1;
           st.S.sa_ports_left <- st.S.sa_ports_left - 1;
           c.S.s_comm <- c.S.s_comm + 1;
+          c.S.s_sync <- c.S.s_sync + 1;
           let qs = queues.(q) in
           if qs.S.e_len > 0 then begin
             st.S.stamp <- st.S.stamp + 1;

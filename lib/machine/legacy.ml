@@ -5,37 +5,10 @@
    every cycle for every core. Nothing here is optimized on purpose —
    the jit engine must reproduce its results bit-for-bit (including
    per-cycle stall attribution and queue peaks), so any change to this
-   file changes what "correct" means. [Sim.run ~kernel:`Legacy]
-   dispatches to {!run}. *)
+   file changes what "correct" means. Tests and the bench harness call
+   {!run} directly; it returns {!Sim}'s result type. *)
 
 open Gmt_ir
-
-type core_stats = {
-  instrs : int;
-  comm_instrs : int;
-  stall_data : int;
-  stall_queue : int;
-  stall_ports : int;
-  loads : int;
-  l1_hits : int;
-  l2_hits : int;
-  l3_hits : int;
-  mem_accesses : int;
-  finish_cycle : int;
-}
-
-type result = {
-  cycles : int;
-  memory : int array;
-  per_core : core_stats array;
-  deadlocked : bool;
-  fuel_exhausted : bool;
-  idle_peak : int;
-  deadlock_threshold : int;
-  stall_attr : int array array;
-  queue_peak : int array;
-  deadlock_report : string list;
-}
 
 (* Buckets mirror Simstate's; the codes must stay aligned since Sim
    re-exports one set of labels for every engine. *)
@@ -49,9 +22,6 @@ let n_stall_buckets = Simstate.n_stall_buckets
 
 let classify = Decode.classify
 let latency_of = Decode.latency_of
-
-let deadlock_threshold (mc : Config.t) =
-  (4 * mc.mem_latency) + (mc.queue_size * (mc.sa_latency + 1)) + 256
 
 (* A queue entry or a waiting consumer, per queue. *)
 type pending_consumer = { core : int; dst : Reg.t option (* None = sync *) }
@@ -78,6 +48,7 @@ type core = {
   (* stats *)
   mutable s_instrs : int;
   mutable s_comm : int;
+  mutable s_sync : int;
   mutable s_stall_data : int;
   mutable s_stall_queue : int;
   mutable s_stall_ports : int;
@@ -122,6 +93,7 @@ let run ?(fuel = 100_000_000) ?(init_regs = []) ?(init_mem = [])
       fence_ready = 0;
       s_instrs = 0;
       s_comm = 0;
+      s_sync = 0;
       s_stall_data = 0;
       s_stall_queue = 0;
       s_stall_ports = 0;
@@ -145,7 +117,7 @@ let run ?(fuel = 100_000_000) ?(init_regs = []) ?(init_mem = [])
   let idle_cycles = ref 0 in
   let idle_peak = ref 0 in
   let deadlocked = ref false in
-  let threshold = deadlock_threshold mc in
+  let threshold = Sim.deadlock_threshold mc in
   let stall_attr =
     Array.init n_cores (fun _ -> Array.make n_stall_buckets 0)
   in
@@ -355,6 +327,7 @@ let run ?(fuel = 100_000_000) ?(init_regs = []) ?(init_mem = [])
             | Instr.Produce_sync q ->
               decr sa_ports_left;
               c.s_comm <- c.s_comm + 1;
+              c.s_sync <- c.s_sync + 1;
               produce_to q 1;
               advance ()
             | Instr.Consume (d, q) ->
@@ -376,6 +349,7 @@ let run ?(fuel = 100_000_000) ?(init_regs = []) ?(init_mem = [])
             | Instr.Consume_sync q ->
               decr sa_ports_left;
               c.s_comm <- c.s_comm + 1;
+              c.s_sync <- c.s_sync + 1;
               let qs = queues.(q) in
               if not (Queue.is_empty qs.entries) then begin
                 let _, ready = Queue.pop qs.entries in
@@ -468,14 +442,15 @@ let run ?(fuel = 100_000_000) ?(init_regs = []) ?(init_mem = [])
     end
   in
   {
-    cycles = !now;
+    Sim.cycles = !now;
     memory;
     per_core =
       Array.map
         (fun c ->
           {
-            instrs = c.s_instrs;
+            Sim.instrs = c.s_instrs;
             comm_instrs = c.s_comm;
+            sync_instrs = c.s_sync;
             stall_data = c.s_stall_data;
             stall_queue = c.s_stall_queue;
             stall_ports = c.s_stall_ports;

@@ -25,8 +25,6 @@ let comm_of s = s.produces + s.consumes + s.produce_syncs + s.consume_syncs
 
 let total_comm r = Array.fold_left (fun acc s -> acc + comm_of s) 0 r.threads
 
-let total_dyn r = Array.fold_left (fun acc s -> acc + s.dyn_instrs) 0 r.threads
-
 type tstate = {
   func : Func.t;
   regs : int array;

@@ -6,8 +6,9 @@
     per-instruction round-robin or seeded-random — correctness of MTCG
     output must not depend on the interleaving, and tests exercise both.
 
-    This interpreter also yields the dynamic instruction counts behind the
-    paper's Figures 1 and 7 (communication vs computation). *)
+    It counts communication for [gmtc sweep] and explores schedules for
+    the fuzzer; measurement takes its counts from {!Sim} instead, and
+    tests pin the two to each other. *)
 
 open Gmt_ir
 
@@ -43,9 +44,6 @@ val comm_of : thread_stats -> int
 
 (** Total communication instructions executed, all threads. *)
 val total_comm : result -> int
-
-(** Total dynamic instructions, all threads. *)
-val total_dyn : result -> int
 
 val run :
   ?fuel:int ->

@@ -4,6 +4,7 @@ module S = Simstate
 type core_stats = {
   instrs : int;
   comm_instrs : int;
+  sync_instrs : int;
   stall_data : int;
   stall_queue : int;
   stall_ports : int;
@@ -28,12 +29,6 @@ type result = {
   deadlock_report : string list;
 }
 
-type kernel = [ `Jit | `Legacy ]
-
-let kernel_name = function `Jit -> "jit" | `Legacy -> "legacy"
-
-let all_kernels : kernel list = [ `Legacy; `Jit ]
-
 (* Cycle-attribution buckets live in Simstate (shared with the jit
    closure compiler); re-exported here as the public names. *)
 let bucket_busy = S.bucket_busy
@@ -52,47 +47,8 @@ let deadlock_threshold (mc : Config.t) =
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-(* The legacy oracle lives in its own module with structurally identical
-   result types; convert field-for-field so its engine cannot drift from
-   the public contract unnoticed. *)
-let of_legacy (r : Legacy.result) =
-  {
-    cycles = r.Legacy.cycles;
-    memory = r.Legacy.memory;
-    per_core =
-      Array.map
-        (fun (s : Legacy.core_stats) ->
-          {
-            instrs = s.Legacy.instrs;
-            comm_instrs = s.Legacy.comm_instrs;
-            stall_data = s.Legacy.stall_data;
-            stall_queue = s.Legacy.stall_queue;
-            stall_ports = s.Legacy.stall_ports;
-            loads = s.Legacy.loads;
-            l1_hits = s.Legacy.l1_hits;
-            l2_hits = s.Legacy.l2_hits;
-            l3_hits = s.Legacy.l3_hits;
-            mem_accesses = s.Legacy.mem_accesses;
-            finish_cycle = s.Legacy.finish_cycle;
-          })
-        r.Legacy.per_core;
-    deadlocked = r.Legacy.deadlocked;
-    fuel_exhausted = r.Legacy.fuel_exhausted;
-    idle_peak = r.Legacy.idle_peak;
-    deadlock_threshold = r.Legacy.deadlock_threshold;
-    stall_attr = r.Legacy.stall_attr;
-    queue_peak = r.Legacy.queue_peak;
-    deadlock_report = r.Legacy.deadlock_report;
-  }
-
-let rec run ?(fuel = 100_000_000) ?(init_regs = []) ?(init_mem = [])
-    ?(kernel = `Jit) (mc : Config.t) (p : Mtprog.t) ~mem_size =
-  match kernel with
-  | `Legacy -> of_legacy (Legacy.run ~fuel ~init_regs ~init_mem mc p ~mem_size)
-  | `Jit -> run_jit ~fuel ~init_regs ~init_mem mc p ~mem_size
-
-and run_jit ~fuel ~init_regs ~init_mem (mc : Config.t) (p : Mtprog.t)
-    ~mem_size =
+let run ?(fuel = 100_000_000) ?(init_regs = []) ?(init_mem = [])
+    (mc : Config.t) (p : Mtprog.t) ~mem_size =
   if not (is_pow2 mem_size) then invalid_arg "Sim.run: mem_size not 2^k";
   let n_cores = Array.length p.Mtprog.threads in
   if n_cores > mc.n_cores then invalid_arg "Sim.run: more threads than cores";
@@ -378,6 +334,7 @@ and run_jit ~fuel ~init_regs ~init_mem (mc : Config.t) (p : Mtprog.t)
           {
             instrs = c.S.s_instrs;
             comm_instrs = c.S.s_comm;
+            sync_instrs = c.S.s_sync;
             stall_data = c.S.s_stall_data;
             stall_queue = c.S.s_stall_queue;
             stall_ports = c.S.s_stall_ports;
@@ -398,6 +355,6 @@ and run_jit ~fuel ~init_regs ~init_mem (mc : Config.t) (p : Mtprog.t)
     deadlock_report;
   }
 
-let run_single ?fuel ?init_regs ?init_mem ?kernel mc (f : Func.t) ~mem_size =
+let run_single ?fuel ?init_regs ?init_mem mc (f : Func.t) ~mem_size =
   let p = Mtprog.make ~name:f.Func.name ~threads:[| f |] ~n_queues:0 in
-  run ?fuel ?init_regs ?init_mem ?kernel mc p ~mem_size
+  run ?fuel ?init_regs ?init_mem mc p ~mem_size

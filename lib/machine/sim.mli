@@ -12,13 +12,24 @@
     matching produce, and only instructions that read it stall
     ([consume.sync] instead fences later memory operations, giving acquire
     semantics; [produce.sync] has release semantics for free because issue
-    is in order and stores commit at issue). *)
+    is in order and stores commit at issue).
+
+    This is the one engine that executes a measured program: the issue
+    loop compiles each decoded instruction once into an OCaml closure
+    fusing the issue guards with the operand fetch/writeback (see
+    {!Jit}) and fast-forwards provably frozen all-idle stretches in
+    bulk. {!Legacy.run} is the list-walking original it must reproduce
+    byte for byte — [cycles], [stall_attr], [queue_peak], per-core
+    stats, memory, deadlock verdicts — which QCheck properties in
+    [test_simkernel] enforce; tests and the bench harness call it
+    directly. *)
 
 open Gmt_ir
 
 type core_stats = {
   instrs : int;
-  comm_instrs : int;
+  comm_instrs : int;  (** produce/consume issued, syncs included *)
+  sync_instrs : int;  (** [produce.sync] + [consume.sync] issued *)
   stall_data : int;    (** cycles stalled on operand readiness *)
   stall_queue : int;   (** cycles stalled on queue full / sync fence *)
   stall_ports : int;   (** cycles lost to structural limits *)
@@ -65,34 +76,19 @@ val stall_labels : string array
 
 val n_stall_buckets : int
 
-(** Issue-loop implementation. [`Jit] (the default, and the only one
-    on the product path) compiles each decoded instruction once into an
-    OCaml closure fusing the issue guards with the operand
-    fetch/writeback (see {!Jit}), and fast-forwards provably frozen
-    all-idle stretches in bulk. [`Legacy] re-walks the IR instruction
-    lists each cycle; it is the equivalence oracle, reached from tests
-    and the bench harness only. Both produce byte-identical results —
-    [cycles], [stall_attr], [queue_peak], per-core stats, memory,
-    deadlock verdicts — enforced by QCheck properties in
-    [test_simkernel]. *)
-type kernel = [ `Jit | `Legacy ]
-
-(** ["jit"] or ["legacy"] — stable names used in bench output. *)
-val kernel_name : kernel -> string
-
-(** All kernels, oracle-first: [[`Legacy; `Jit]]. *)
-val all_kernels : kernel list
-
 (** Consecutive idle cycles after which a run is declared deadlocked,
     derived from the machine's memory latency, queue capacity and
     synchronization-array latency. *)
 val deadlock_threshold : Config.t -> int
 
+(** Simulate [p] on [mc] from [init_regs] (copied into every thread)
+    and [init_mem]. [fuel] (default 100M) bounds the simulated cycles: a
+    run that reaches it stops mid-flight with [fuel_exhausted] set and
+    partial memory, counts and cycles. *)
 val run :
   ?fuel:int ->
   ?init_regs:(Reg.t * int) list ->
   ?init_mem:(int * int) list ->
-  ?kernel:kernel ->
   Config.t ->
   Mtprog.t ->
   mem_size:int ->
@@ -104,7 +100,6 @@ val run_single :
   ?fuel:int ->
   ?init_regs:(Reg.t * int) list ->
   ?init_mem:(int * int) list ->
-  ?kernel:kernel ->
   Config.t ->
   Func.t ->
   mem_size:int ->

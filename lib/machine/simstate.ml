@@ -151,6 +151,7 @@ type core = {
   (* stats *)
   mutable s_instrs : int;
   mutable s_comm : int;
+  mutable s_sync : int;
   mutable s_stall_data : int;
   mutable s_stall_queue : int;
   mutable s_stall_ports : int;
@@ -209,6 +210,7 @@ let make (mc : Config.t) (p : Mtprog.t) ~init_regs ~init_mem ~mem_size =
       replay_bucket = 0;
       s_instrs = 0;
       s_comm = 0;
+      s_sync = 0;
       s_stall_data = 0;
       s_stall_queue = 0;
       s_stall_ports = 0;

@@ -86,6 +86,7 @@ type core = {
       (** jit: bucket to replay while frozen or before [wake] *)
   mutable s_instrs : int;
   mutable s_comm : int;
+  mutable s_sync : int;  (** produce.sync + consume.sync issued *)
   mutable s_stall_data : int;
   mutable s_stall_queue : int;
   mutable s_stall_ports : int;

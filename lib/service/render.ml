@@ -80,39 +80,30 @@ let cell_label (w : W.t) technique coco =
 
 (* ------------------------------- run ------------------------------- *)
 
-let run ?cache ?(jobs = 1) ?fuel ?(verify = true) ~technique ~coco ~threads
-    (w : W.t) =
+(* The reference runs first: it is the oracle the compiled cell is
+   checked against, so a reference that runs out of fuel ends the
+   request before the cache is probed (counting neither a hit nor a
+   miss). *)
+let run ?cache ?fuel ?(verify = true) ~technique ~coco ~threads (w : W.t) =
   let label = cell_label w technique coco in
-  let status = ref (if cache = None then "none" else "miss") in
+  let status = ref "none" in
   guarded status @@ fun () ->
-  let cells =
-    Pool.run_list ~jobs
-      [
-        (fun () ->
-          `St
-            (Obs.span ~cat:"stage" "req.simulate" (fun () ->
-                 V.measure_single ?fuel w)));
-        (fun () ->
-          let a =
-            V.compile_cached ?cache ~n_threads:threads ~coco ~verify
-              technique w
-          in
-          `Mt
-            ( a,
-              Obs.span ~cat:"stage" "req.simulate" (fun () ->
-                  V.measure_artifact ?fuel a) ));
-      ]
+  let st, expect =
+    Obs.span ~cat:"stage" "req.simulate" (fun () ->
+        V.measure_reference ?fuel w)
   in
-  let st, a, m =
-    match cells with
-    | [ `St st; `Mt (a, m) ] -> (st, a, m)
-    | _ -> assert false
-  in
-  if cache <> None && a.V.a_from_cache then status := "hit";
-  let cache_status = !status in
   if st.V.deadlocked then
     raise (V.Deadlock (w.W.name ^ "/single: simulator deadlock"));
   if st.V.fuel_exhausted then raise (Timeout (w.W.name ^ "/single"));
+  if cache <> None then status := "miss";
+  let a =
+    V.compile_cached ?cache ~n_threads:threads ~coco ~verify technique w
+  in
+  if cache <> None && a.V.a_from_cache then status := "hit";
+  let m =
+    Obs.span ~cat:"stage" "req.simulate" (fun () ->
+        V.measure_artifact ?fuel ~expect a)
+  in
   if m.V.fuel_exhausted then raise (Timeout label);
   let buf = Buffer.create 512 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -128,7 +119,7 @@ let run ?cache ?(jobs = 1) ?fuel ?(verify = true) ~technique ~coco ~threads
   pf "  speedup         : %.2fx\n"
     (float_of_int st.V.cycles /. float_of_int m.V.cycles);
   pf "  (memory state verified against the single-threaded run)\n";
-  { out = Buffer.contents buf; err = ""; code = 0; cache_status }
+  { out = Buffer.contents buf; err = ""; code = 0; cache_status = !status }
 
 (* ------------------------------ check ------------------------------ *)
 

@@ -40,15 +40,17 @@ type outcome = {
 }
 
 (** [gmtc run]: single-threaded baseline vs one compiled cell, with the
-    speedup report. [fuel] bounds the untimed interpreter and the
-    simulator; exhaustion yields {!exit_timeout}. [jobs] only changes
-    scheduling, never bytes. [cache] pairs the artifact cache with the
-    cell's key, {!V.fingerprint} of the program text: the caller (the
-    server, which receives the text on the wire) computes it once, and
-    nothing here prints or hashes the program. *)
+    speedup report. Two simulations, in order: the reference
+    ({!V.measure_reference}), then the compiled cell checked against its
+    memory. [fuel] bounds each simulation's cycles; exhaustion yields
+    {!exit_timeout}, and a reference that exhausts it ends the request
+    before the cache is probed ([cache_status] ["none"]). [cache] pairs
+    the artifact cache with the cell's key, {!V.fingerprint} of the
+    program text: the caller (the server, which receives the text on the
+    wire) computes it once, and nothing here prints or hashes the
+    program. *)
 val run :
   ?cache:Gmt_cache.Cache.t * string ->
-  ?jobs:int ->
   ?fuel:int ->
   ?verify:bool ->
   technique:V.technique ->

@@ -279,7 +279,7 @@ let serve t { job; fuel } key payload =
       ~coco:c.coco ~threads:c.threads payload
   | Run c ->
     parsed
-      (Render.run ~cache:(t.cache, key) ~jobs:1 ?fuel ~technique:c.technique
+      (Render.run ~cache:(t.cache, key) ?fuel ~technique:c.technique
          ~coco:c.coco ~threads:c.threads)
 
 let stats_json t =

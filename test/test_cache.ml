@@ -260,10 +260,9 @@ let test_compile_cached () =
 
 (* Execution-engine independence: the cache key digests the scheduling
    inputs (canonical text, technique, thread count, COCO, tool version)
-   and nothing about how the result will be simulated. Every
-   [Sim.kernel] must hit the same entry, and simulating the cached
-   artifact under it must reproduce the cycles [measure_artifact]
-   reports. *)
+   and nothing about how the result will be simulated. Both simulator
+   engines must hit the same entry, and simulating the cached artifact
+   under each must reproduce the cycles [measure_artifact] reports. *)
 let test_kernel_independent () =
   let module Sim = Gmt_machine.Sim in
   let module W = Gmt_workloads.Workload in
@@ -274,18 +273,22 @@ let test_kernel_independent () =
   Alcotest.(check bool) "seed compile is a miss" false a0.V.a_from_cache;
   let reference = V.measure_artifact a0 in
   List.iter
-    (fun kernel ->
-      let name = Sim.kernel_name kernel in
+    (fun (name, run) ->
       let a = V.compile_cached ~cache:(cache, key) ~n_threads:2 V.Gremio w in
       Alcotest.(check bool) (name ^ " run hits the same entry") true
         a.V.a_from_cache;
-      let r =
-        Sim.run ~kernel ~init_regs:w.W.reference.W.regs
-          ~init_mem:w.W.reference.W.mem (V.machine_config V.Gremio) a.V.a_mtp
-          ~mem_size:w.W.mem_size
-      in
+      let r : Sim.result = run (V.machine_config V.Gremio) a.V.a_mtp in
       Alcotest.(check int) (name ^ " cycles") reference.V.cycles r.Sim.cycles)
-    Sim.all_kernels;
+    [
+      ( "legacy",
+        fun mc p ->
+          Gmt_machine.Legacy.run ~init_regs:w.W.reference.W.regs
+            ~init_mem:w.W.reference.W.mem mc p ~mem_size:w.W.mem_size );
+      ( "jit",
+        fun mc p ->
+          Sim.run ~init_regs:w.W.reference.W.regs
+            ~init_mem:w.W.reference.W.mem mc p ~mem_size:w.W.mem_size );
+    ];
   Alcotest.(check int) "one store total" 1 (Cache.stats cache).Cache.stores
 
 let tests =

@@ -436,7 +436,7 @@ let test_refused_is_no_daemon () =
 let test_tcp_round_trip () =
   let w = Suite.find "ks" in
   let offline =
-    Render.run ~jobs:1 ~technique:V.Gremio ~coco:false ~threads:2 w
+    Render.run ~technique:V.Gremio ~coco:false ~threads:2 w
   in
   let cfg =
     {
@@ -693,7 +693,7 @@ let test_farm_failover_serves_replica () =
   let w = Suite.find "ks" in
   let gmt = Text.print w in
   let offline =
-    Render.run ~jobs:1 ~technique:V.Gremio ~coco:false ~threads:2 w
+    Render.run ~technique:V.Gremio ~coco:false ~threads:2 w
   in
   let sock_a = fresh_socket () and sock_b = fresh_socket () in
   let peers = [ ("a", sock_a); ("b", sock_b) ] in

@@ -159,21 +159,32 @@ let test_mt_interp_pingpong () =
 
 (* ------------------------- simulator ------------------------- *)
 
+(* The single-threaded simulation is every MT cell's oracle, so on each
+   suite kernel's reference input it must reproduce the reference
+   interpreter: the same final memory and instruction count. *)
 let test_sim_single_matches_interp_memory () =
-  let w = Gmt_workloads.Suite.find "adpcmdec" in
   let module W = Gmt_workloads.Workload in
-  let r =
-    Interp.run ~init_regs:w.W.train.W.regs ~init_mem:w.W.train.W.mem w.W.func
-      ~mem_size:w.W.mem_size
-  in
-  let s =
-    Sim.run_single ~init_regs:w.W.train.W.regs ~init_mem:w.W.train.W.mem
-      (Config.itanium2 ()) w.W.func ~mem_size:w.W.mem_size
-  in
-  Alcotest.(check bool) "no deadlock" false s.Sim.deadlocked;
-  Alcotest.(check (array int)) "memory equal" r.Interp.memory s.Sim.memory;
-  Alcotest.(check bool) "cycles >= instrs issued" true
-    (s.Sim.cycles >= s.Sim.per_core.(0).Sim.instrs / 6)
+  List.iter
+    (fun (w : W.t) ->
+      let inp = w.W.reference in
+      let r =
+        Interp.run ~init_regs:inp.W.regs ~init_mem:inp.W.mem w.W.func
+          ~mem_size:w.W.mem_size
+      in
+      let s =
+        Sim.run_single ~init_regs:inp.W.regs ~init_mem:inp.W.mem
+          (Config.itanium2 ()) w.W.func ~mem_size:w.W.mem_size
+      in
+      let name = w.W.name in
+      Alcotest.(check bool) (name ^ ": completed") false
+        (s.Sim.deadlocked || s.Sim.fuel_exhausted || r.Interp.fuel_exhausted);
+      Alcotest.(check (array int)) (name ^ ": memory equal") r.Interp.memory
+        s.Sim.memory;
+      Alcotest.(check int) (name ^ ": instrs equal") r.Interp.dyn_instrs
+        s.Sim.per_core.(0).Sim.instrs;
+      Alcotest.(check bool) (name ^ ": cycles >= instrs issued") true
+        (s.Sim.cycles >= s.Sim.per_core.(0).Sim.instrs / 6))
+    (Gmt_workloads.Suite.all ())
 
 let test_sim_issue_width_bound () =
   let w = Gmt_workloads.Suite.find "300.twolf" in

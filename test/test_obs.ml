@@ -229,26 +229,52 @@ let test_stall_attr_sums_to_cycles () =
    A per-cycle regression (a tuple per cache access, a closure per
    scheduler pass) blows through the linear term immediately: before the
    jit engine these spans ran 11-52 bytes per cycle, an order of
-   magnitude over this budget. *)
+   magnitude over this budget.
+
+   The measured cell executes its program once: one [sim.run] span and
+   no interpreter span. The MT interpreter is off the measurement path
+   but still serves [sweep] and the fuzzer, so it keeps the same guard,
+   run under a span of its own. *)
 let test_run_alloc_bounded () =
   with_reset @@ fun () ->
   let w = Suite.find "ks" in
+  let _, expect = V.measure_reference w in
   let m, spans =
-    Obs.collect (fun () -> V.measure_cell (V.Mt (V.Gremio, false)) w)
+    Obs.collect (fun () -> V.measure_cell ~expect (V.Mt (V.Gremio, false)) w)
   in
   Alcotest.(check bool) "run completed" false m.V.fuel_exhausted;
-  let budget = 1_500_000. +. (4. *. float_of_int m.V.cycles) in
+  let named name spans =
+    List.filter (fun (s : Obs.span) -> s.Obs.name = name) spans
+  in
+  Alcotest.(check int) "one sim.run span" 1
+    (List.length (named "sim.run" spans));
   List.iter
     (fun name ->
-      match List.find_opt (fun (s : Obs.span) -> s.Obs.name = name) spans with
-      | None -> Alcotest.failf "span %s not recorded" name
-      | Some s ->
-        if s.Obs.alloc_bytes > budget then
-          Alcotest.failf
-            "%s allocated %.0f bytes (budget %.0f over %d cycles) — the \
-             issue loop is allocating per cycle again"
-            name s.Obs.alloc_bytes budget m.V.cycles)
-    [ "verify.mt_interp"; "sim.run" ]
+      Alcotest.(check int) ("no " ^ name ^ " span") 0
+        (List.length (named name spans)))
+    [ "verify.mt_interp"; "oracle.interp" ];
+  let c = V.compile V.Gremio w in
+  let (), interp_spans =
+    Obs.collect (fun () ->
+        Obs.span "mt_interp.run" (fun () ->
+            ignore
+              (Gmt_machine.Mt_interp.run ~init_regs:w.W.reference.W.regs
+                 ~init_mem:w.W.reference.W.mem c.V.mtp
+                 ~queue_capacity:
+                   (V.machine_config V.Gremio).Gmt_machine.Config.queue_size
+                 ~mem_size:w.W.mem_size)))
+  in
+  Alcotest.(check int) "one mt_interp.run span" 1
+    (List.length (named "mt_interp.run" interp_spans));
+  let budget = 1_500_000. +. (4. *. float_of_int m.V.cycles) in
+  List.iter
+    (fun (s : Obs.span) ->
+      if s.Obs.alloc_bytes > budget then
+        Alcotest.failf
+          "%s allocated %.0f bytes (budget %.0f over %d cycles) — the \
+           issue loop is allocating per cycle again"
+          s.Obs.name s.Obs.alloc_bytes budget m.V.cycles)
+    (named "sim.run" spans @ named "mt_interp.run" interp_spans)
 
 let test_queue_peak_bounded () =
   let w = Suite.find "ks" in

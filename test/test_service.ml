@@ -74,7 +74,7 @@ let test_concurrent_clients () =
   let offline =
     List.map
       (fun (name, _, technique, coco) ->
-        Render.run ~jobs:1 ~technique ~coco ~threads:2 (workload name))
+        Render.run ~technique ~coco ~threads:2 (workload name))
       cells
   in
   with_server ~jobs:4 @@ fun srv ->
@@ -128,7 +128,7 @@ let test_corrupt_entry_recompiled () =
   let w = workload "ks" in
   let gmt = Text.print w in
   let req = Client.run_request ~gmt ~technique:"gremio" ~coco:false ~threads:2 () in
-  let offline = Render.run ~jobs:1 ~technique:V.Gremio ~coco:false ~threads:2 w in
+  let offline = Render.run ~technique:V.Gremio ~coco:false ~threads:2 w in
   let key = V.fingerprint ~n_threads:2 ~coco:false V.Gremio ~canonical:gmt in
   (* Round 1: populate the on-disk store, then corrupt the entry. *)
   let entry_path =
@@ -192,7 +192,7 @@ let test_busy_reply () =
    survive the storm with its scheduler counters advancing. *)
 let test_busy_under_load () =
   let offline =
-    Render.run ~jobs:1 ~technique:V.Gremio ~coco:false ~threads:2
+    Render.run ~technique:V.Gremio ~coco:false ~threads:2
       (workload "ks")
   in
   Alcotest.(check int) "busy exit code is 6" 6 Render.exit_busy;
@@ -311,7 +311,9 @@ let test_gmt_field_ignored () =
 
 let test_fuel_timeout () =
   let w = workload "ks" in
-  let offline = Render.run ~jobs:1 ~fuel:10 ~technique:V.Gremio ~coco:false ~threads:2 w in
+  let offline =
+    Render.run ~fuel:10 ~technique:V.Gremio ~coco:false ~threads:2 w
+  in
   Alcotest.(check int) "offline timeout exit" Render.exit_timeout
     offline.Render.code;
   with_server @@ fun srv ->
@@ -328,7 +330,7 @@ let test_fuel_timeout () =
 let test_fuel_cap () =
   let w = workload "ks" in
   let offline =
-    Render.run ~jobs:1 ~fuel:10 ~technique:V.Gremio ~coco:false ~threads:2 w
+    Render.run ~fuel:10 ~technique:V.Gremio ~coco:false ~threads:2 w
   in
   with_server ~fuel_cap:10 @@ fun srv ->
   let gmt = Text.print w in
@@ -389,6 +391,18 @@ let test_traced_request () =
     Trace.stage_names;
   Alcotest.(check bool) "serve span present" true
     (List.exists (fun (s : Obs.span) -> s.Obs.name = "serve.run") spans);
+  (* One execution per measured program: the reference and the compiled
+     cell are simulated once each, and no interpreter re-runs either. *)
+  let named name spans =
+    List.filter (fun (s : Obs.span) -> s.Obs.name = name) spans
+  in
+  Alcotest.(check int) "cold run: two sim.run spans" 2
+    (List.length (named "sim.run" spans));
+  List.iter
+    (fun name ->
+      Alcotest.(check int) ("cold run: no " ^ name ^ " span") 0
+        (List.length (named name spans)))
+    [ "oracle.interp"; "verify.mt_interp" ];
   (* One digest per request: a cold check (a cell the run above did not
      store) carries exactly one fingerprint span, and a warm check of
      the largest kernel allocates about one copy of its payload — the
@@ -404,9 +418,6 @@ let test_traced_request () =
       | Some status, Some arr -> (status, Trace.spans_of_json arr)
       | _ -> Alcotest.fail "traced check reply lacks cache status or spans")
     | Error _ -> Alcotest.fail "traced check failed"
-  in
-  let named name spans =
-    List.filter (fun (s : Obs.span) -> s.Obs.name = name) spans
   in
   let status, cold = traced_check ~technique:"dswp" gmt in
   Alcotest.(check string) "check is cold" "miss" status;
@@ -551,7 +562,7 @@ let test_stats2_frame () =
    replies stay identical. *)
 let test_telemetry_off () =
   let w = workload "ks" in
-  let offline = Render.run ~jobs:1 ~technique:V.Gremio ~coco:false ~threads:2 w in
+  let offline = Render.run ~technique:V.Gremio ~coco:false ~threads:2 w in
   let cfg =
     {
       (Server.default_config ~socket:(fresh_socket ())) with

@@ -1,15 +1,19 @@
 (* The simulator issue-loop kernels and the parallel evaluation harness.
 
-   Two determinism contracts are enforced here:
+   Three contracts are enforced here:
    - the jit issue-loop kernel produces byte-identical results to the
      legacy list-walking oracle on random structured programs (single-
      and multi-threaded, with random partitions), and the interpreter
-     engines agree likewise; and
+     engines agree likewise;
+   - the simulator agrees with the untimed interpreters: equal final
+     memory and equal per-thread instruction, communication and sync
+     counts — the oracles the measurement path no longer runs; and
    - Velocity.run_matrix over the Pool yields byte-identical metrics for
      every jobs count, 1..4, on the full benchmark suite. *)
 
 open Gmt_ir
 module Sim = Gmt_machine.Sim
+module Legacy = Gmt_machine.Legacy
 module Interp = Gmt_machine.Interp
 module Mt_interp = Gmt_machine.Mt_interp
 module Profile = Gmt_analysis.Profile
@@ -32,9 +36,22 @@ let sim_results_equal (a : Sim.result) (b : Sim.result) =
   && a.Sim.queue_peak = b.Sim.queue_peak
   && a.Sim.deadlock_report = b.Sim.deadlock_report
 
-(* Run one simulation under both kernels and require byte-identical
+(* A simulator entry point: [Legacy.run] or [Sim.run]. *)
+type engine =
+  ?fuel:int ->
+  ?init_regs:(Reg.t * int) list ->
+  ?init_mem:(int * int) list ->
+  Config.t ->
+  Mtprog.t ->
+  mem_size:int ->
+  Sim.result
+
+(* Run one simulation under both engines and require byte-identical
    results, legacy as the reference. *)
-let all_kernels_agree run = sim_results_equal (run `Legacy) (run `Jit)
+let engines_agree (run : engine -> Sim.result) =
+  sim_results_equal (run Legacy.run) (run Sim.run)
+
+let single f = Mtprog.make ~name:f.Func.name ~threads:[| f |] ~n_queues:0
 
 let prop_kernels_agree_single =
   QCheck.Test.make ~count:120
@@ -43,10 +60,10 @@ let prop_kernels_agree_single =
     (fun (stmts, _seed, _n_threads) ->
       let f = Test_props.lower stmts in
       Validate.check f;
-      all_kernels_agree (fun kernel ->
-          Sim.run_single ~fuel:500_000 ~kernel
-            ~init_regs:Test_props.init_regs ~init_mem:Test_props.init_mem
-            (Config.test_config ()) f ~mem_size:Test_props.mem_size))
+      engines_agree (fun run ->
+          run ~fuel:500_000 ~init_regs:Test_props.init_regs
+            ~init_mem:Test_props.init_mem (Config.test_config ()) (single f)
+            ~mem_size:Test_props.mem_size))
 
 let prop_kernels_agree_mt =
   QCheck.Test.make ~count:80
@@ -57,8 +74,8 @@ let prop_kernels_agree_mt =
       let pdg = Gmt_pdg.Pdg.build f in
       let part = Test_props.random_partition f ~n_threads ~seed in
       let mtp = Gmt_mtcg.Mtcg.run pdg part in
-      all_kernels_agree (fun kernel ->
-          Sim.run ~fuel:2_000_000 ~kernel ~init_regs:Test_props.init_regs
+      engines_agree (fun run ->
+          run ~fuel:2_000_000 ~init_regs:Test_props.init_regs
             ~init_mem:Test_props.init_mem
             (Config.test_config ~n_cores:n_threads ())
             mtp ~mem_size:Test_props.mem_size))
@@ -76,12 +93,69 @@ let test_kernels_agree_workloads () =
           Alcotest.(check bool)
             (Printf.sprintf "%s/%s kernels agree" name (V.technique_name tech))
             true
-            (all_kernels_agree (fun kernel ->
-                 Sim.run ~kernel ~init_regs:w.W.reference.W.regs
+            (engines_agree (fun run ->
+                 run ~init_regs:w.W.reference.W.regs
                    ~init_mem:w.W.reference.W.mem mc c.V.mtp
                    ~mem_size:w.W.mem_size)))
         [ V.Gremio; V.Dswp ])
     [ "adpcmdec"; "ks" ]
+
+(* ------------- the simulator == the interpreters ------------- *)
+
+(* The measurement path reads every count off one simulation; these
+   properties are what licenses that. On completed runs, the
+   single-threaded simulation must reproduce the reference interpreter's
+   memory and instruction count, and a multi-threaded one the MT
+   interpreter's memory and, per thread, its instruction,
+   communication and sync counts. *)
+let prop_sim_matches_interp =
+  QCheck.Test.make ~count:120
+    ~name:"sim == interp (single-threaded memory, instrs)"
+    Test_props.arbitrary_case
+    (fun (stmts, _seed, _n_threads) ->
+      let f = Test_props.lower stmts in
+      let init_regs = Test_props.init_regs
+      and init_mem = Test_props.init_mem
+      and mem_size = Test_props.mem_size in
+      let s =
+        Sim.run_single ~fuel:500_000 ~init_regs ~init_mem
+          (Config.test_config ()) f ~mem_size
+      in
+      let r = Interp.run ~fuel:200_000 ~init_regs ~init_mem f ~mem_size in
+      s.Sim.fuel_exhausted || r.Interp.fuel_exhausted
+      || (not s.Sim.deadlocked)
+         && s.Sim.memory = r.Interp.memory
+         && s.Sim.per_core.(0).Sim.instrs = r.Interp.dyn_instrs)
+
+let prop_sim_matches_mt_interp =
+  QCheck.Test.make ~count:80
+    ~name:"sim == mt_interp (memory, per-thread counts)"
+    Test_props.arbitrary_case
+    (fun (stmts, seed, n_threads) ->
+      let f = Test_props.lower stmts in
+      let pdg = Gmt_pdg.Pdg.build f in
+      let part = Test_props.random_partition f ~n_threads ~seed in
+      let mtp = Gmt_mtcg.Mtcg.run pdg part in
+      let init_regs = Test_props.init_regs
+      and init_mem = Test_props.init_mem
+      and mem_size = Test_props.mem_size in
+      let mc = Config.test_config ~n_cores:n_threads () in
+      let s = Sim.run ~fuel:2_000_000 ~init_regs ~init_mem mc mtp ~mem_size in
+      let r =
+        Mt_interp.run ~fuel:2_000_000 ~init_regs ~init_mem mtp
+          ~queue_capacity:mc.Config.queue_size ~mem_size
+      in
+      let same_counts (c : Sim.core_stats) (t : Mt_interp.thread_stats) =
+        c.Sim.instrs = t.Mt_interp.dyn_instrs
+        && c.Sim.comm_instrs = Mt_interp.comm_of t
+        && c.Sim.sync_instrs
+           = t.Mt_interp.produce_syncs + t.Mt_interp.consume_syncs
+      in
+      s.Sim.fuel_exhausted || r.Mt_interp.fuel_exhausted
+      || (not s.Sim.deadlocked)
+         && (not r.Mt_interp.deadlocked)
+         && s.Sim.memory = r.Mt_interp.memory
+         && Array.for_all2 same_counts s.Sim.per_core r.Mt_interp.threads)
 
 (* ---------- interpreter engines agree likewise ---------- *)
 
@@ -261,6 +335,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_kernels_agree_mt;
     Alcotest.test_case "sim kernels agree on workloads" `Quick
       test_kernels_agree_workloads;
+    QCheck_alcotest.to_alcotest prop_sim_matches_interp;
+    QCheck_alcotest.to_alcotest prop_sim_matches_mt_interp;
     QCheck_alcotest.to_alcotest prop_interp_engines_agree;
     QCheck_alcotest.to_alcotest prop_mt_interp_engines_agree;
     Alcotest.test_case "pool preserves order (jobs 1..4)" `Quick
