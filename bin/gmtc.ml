@@ -105,11 +105,6 @@ let no_verify_arg =
           "Skip the gmt_verify translation validator normally run on the \
            generated thread code.")
 
-let threads_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "j"; "threads" ] ~docv:"N" ~doc:"Number of threads to extract.")
-
 let pos_int_conv =
   let parse s =
     match int_of_string_opt (String.trim s) with
@@ -118,6 +113,12 @@ let pos_int_conv =
       Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let threads_arg =
+  Arg.(
+    value & opt pos_int_conv 2
+    & info [ "j"; "threads" ] ~docv:"N"
+        ~doc:"Number of threads to extract. Must be positive.")
 
 let jobs_arg =
   Arg.(
@@ -1143,9 +1144,12 @@ let render_stats ~socket j =
   | Some (Json.Obj _ as tele) ->
     (match jmember "counters" tele with
     | Some c ->
-      pf "requests  total %d  errors %d  busy %d  fuel-timeouts %d  traced %d\n"
+      pf
+        "requests  total %d  errors %d  busy %d  fuel-timeouts %d  traced %d  \
+         reused %d\n"
         (jint "req.total" c) (jint "req.errors" c) (jint "req.busy" c)
         (jint "req.fuel_timeouts" c) (jint "req.traced" c)
+        (jint "req.reference.reused" c)
     | None -> ());
     (match jmember "windows" tele with
     | Some w ->

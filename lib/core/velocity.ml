@@ -19,8 +19,8 @@ exception Deadlock of string
 
 (* Metric-key prefix identifying one evaluation cell, e.g.
    ["queens/dswp+coco"]. *)
-let mt_label (w : Workload.t) technique coco =
-  w.Workload.name ^ "/"
+let mt_label name technique coco =
+  name ^ "/"
   ^ String.lowercase_ascii (technique_name technique)
   ^ if coco then "+coco" else ""
 
@@ -46,7 +46,7 @@ let machine_config ?(n_cores = 2) = function
 (* Run the translation validator over one compiled program; returns its
    diagnostics (empty = verified). *)
 let verify_compiled c =
-  let label = mt_label c.workload c.technique c.coco in
+  let label = mt_label c.workload.Workload.name c.technique c.coco in
   Obs.span ~cat:"stage" "req.verify" @@ fun () ->
   Obs.span ~args:[ ("cell", Obs.S label) ] "verify" (fun () ->
       Verify.run
@@ -58,7 +58,7 @@ let verify_compiled c =
 let compile ?(n_threads = 2) ?(coco = false) ?(profile_mode = `Train)
     ?(disambiguate_offsets = false) ?(prune = true) ?(optimize = false)
     ?(cleanup = true) ?(verify = true) technique (w : Workload.t) =
-  let label = mt_label w technique coco in
+  let label = mt_label w.name technique coco in
   Obs.span ~cat:"pipeline" ~args:[ ("cell", Obs.S label) ] "compile"
   @@ fun () ->
   Obs.span "validate" (fun () -> Validate.check w.func);
@@ -185,6 +185,35 @@ let fingerprint ?(n_threads = 2) ?(coco = false) technique ~canonical =
     ~machine:(Format.asprintf "%a" Config.pp mc)
     ()
 
+let compile_store ?cache ?(n_threads = 2) ?(coco = false) ?(verify = true)
+    technique (w : Workload.t) =
+  let c =
+    Obs.span ~cat:"stage" "req.compile" (fun () ->
+        compile ~n_threads ~coco ~verify technique w)
+  in
+  let comm_sites = List.length c.plan.Mtcg.comms in
+  if verify then
+    Option.iter
+      (fun (cch, key) ->
+        Gmt_cache.Cache.store cch key
+          {
+            Gmt_cache.Cache.mtp = c.mtp;
+            comm_sites;
+            verified = verify;
+            w_name = w.Workload.name;
+          })
+      cache;
+  {
+    a_workload = w;
+    a_technique = technique;
+    a_coco = coco;
+    a_n_threads = n_threads;
+    a_mtp = c.mtp;
+    a_comm_sites = comm_sites;
+    a_verified = verify;
+    a_from_cache = false;
+  }
+
 let compile_cached ?cache ?(n_threads = 2) ?(coco = false) ?(verify = true)
     technique (w : Workload.t) =
   (* Only verified artifacts are stored, so an unverified compile must
@@ -205,32 +234,7 @@ let compile_cached ?cache ?(n_threads = 2) ?(coco = false) ?(verify = true)
       a_verified = e.Gmt_cache.Cache.verified;
       a_from_cache = true;
     }
-  | None ->
-    let c =
-      Obs.span ~cat:"stage" "req.compile" (fun () ->
-          compile ~n_threads ~coco ~verify technique w)
-    in
-    let comm_sites = List.length c.plan.Mtcg.comms in
-    Option.iter
-      (fun (cch, key) ->
-        Gmt_cache.Cache.store cch key
-          {
-            Gmt_cache.Cache.mtp = c.mtp;
-            comm_sites;
-            verified = verify;
-            w_name = w.Workload.name;
-          })
-      cache;
-    {
-      a_workload = w;
-      a_technique = technique;
-      a_coco = coco;
-      a_n_threads = n_threads;
-      a_mtp = c.mtp;
-      a_comm_sites = comm_sites;
-      a_verified = verify;
-      a_from_cache = false;
-    }
+  | None -> compile_store ?cache ~n_threads ~coco ~verify technique w
 
 type metrics = {
   dyn_instrs : int;
@@ -268,11 +272,12 @@ let record_sim_metrics label (sim : Sim.result) =
 
 (* The one execution of a measured program: simulate it on the
    reference input and read every count off that run. *)
-let simulate ?fuel label mc (w : Workload.t) (p : Mtprog.t) =
+let simulate ?fuel label mc ~(input : Workload.input) ~mem_size
+    (p : Mtprog.t) =
   let sim =
     Obs.span "sim.run" (fun () ->
-        Sim.run ?fuel ~init_regs:w.reference.Workload.regs
-          ~init_mem:w.reference.Workload.mem mc p ~mem_size:w.mem_size)
+        Sim.run ?fuel ~init_regs:input.regs ~init_mem:input.mem mc p
+          ~mem_size)
   in
   record_sim_metrics label sim;
   let sum f = Array.fold_left (fun acc c -> acc + f c) 0 sim.Sim.per_core in
@@ -292,28 +297,61 @@ let measure_reference ?fuel (w : Workload.t) =
   let p =
     Mtprog.make ~name:w.func.Func.name ~threads:[| w.func |] ~n_queues:0
   in
-  let sim, m = simulate ?fuel (w.name ^ "/single") (Config.itanium2 ()) w p in
+  let sim, m =
+    simulate ?fuel (w.name ^ "/single") (Config.itanium2 ())
+      ~input:w.reference ~mem_size:w.mem_size p
+  in
   (m, (sim.Sim.memory, m.dyn_instrs))
+
+(* 512 words: each chunk is digested from one reused 4 KB buffer, so
+   the digest allocates nothing proportional to the image. *)
+let digest_chunk = 512
+
+let memory_digest (memory : int array) =
+  let n = Array.length memory in
+  let buf = Bytes.create (8 * digest_chunk) in
+  let sums = Bytes.create (16 * ((n + digest_chunk - 1) / digest_chunk)) in
+  let rec chunk i k =
+    if i < n then begin
+      let len = min digest_chunk (n - i) in
+      for j = 0 to len - 1 do
+        Bytes.set_int64_le buf (8 * j) (Int64.of_int memory.(i + j))
+      done;
+      Bytes.blit_string (Digest.subbytes buf 0 (8 * len)) 0 sums (16 * k) 16;
+      chunk (i + len) (k + 1)
+    end
+  in
+  chunk 0 0;
+  Digest.bytes sums
+
+type oracle = Image of int array | Image_digest of string
+
+let oracle_holds oracle memory =
+  match oracle with
+  | Image expect -> memory = expect
+  | Image_digest d -> String.equal (memory_digest memory) d
 
 (* The oracle an MT cell is checked against, or [None] when the
    reference run stopped short and its memory is partial. *)
-let oracle_of ((m : metrics), expect) =
-  if m.fuel_exhausted then None else Some expect
+let oracle_of ((m : metrics), (expect, _)) =
+  if m.fuel_exhausted then None else Some (Image expect)
 
 (* A caller's [expect], or else the reference simulated here. *)
 let resolve_oracle ?fuel ?expect w =
   match expect with
-  | Some e -> Some e
+  | Some (e, _) -> Some (Image e)
   | None -> oracle_of (measure_reference ?fuel w)
 
-(* Shared measurement core: everything [measure] needs is the generated
-   program plus the cell identity, so a cache-reconstructed {!artifact}
-   measures through the same code as a fresh {!compiled}. *)
-let measure_prog ?fuel ~oracle ~technique ~coco ~n_threads (w : Workload.t)
-    (mtp : Mtprog.t) =
-  let label = mt_label w technique coco in
+(* Shared measurement core: it reads only the generated program, the
+   cell identity and the three things a program's measurement takes
+   from its workload (name, reference input, memory size), so a fresh
+   {!compiled}, a cache-reconstructed {!artifact} and a served cell
+   with no parsed workload at all measure through the same code. *)
+let measure_prog ?fuel ~oracle ~name ~input ~mem_size ~technique ~coco
+    ~n_threads (mtp : Mtprog.t) =
+  let label = mt_label name technique coco in
   let mc = machine_config ~n_cores:(max 2 n_threads) technique in
-  let sim, m = simulate ?fuel label mc w mtp in
+  let sim, m = simulate ?fuel label mc ~input ~mem_size mtp in
   if sim.Sim.deadlocked then
     raise
       (Deadlock
@@ -324,19 +362,25 @@ let measure_prog ?fuel ~oracle ~technique ~coco ~n_threads (w : Workload.t)
      completed reference. *)
   match oracle with
   | None -> { m with fuel_exhausted = true }
-  | Some (expect, _) ->
-    if (not m.fuel_exhausted) && sim.Sim.memory <> expect then
+  | Some o ->
+    if (not m.fuel_exhausted) && not (oracle_holds o sim.Sim.memory) then
       failwith (label ^ ": simulated memory diverges");
     m
 
+(* [measure_prog] for a program of workload [w]. *)
+let measure_of ?fuel ~oracle ~technique ~coco ~n_threads (w : Workload.t) mtp
+    =
+  measure_prog ?fuel ~oracle ~name:w.name ~input:w.reference
+    ~mem_size:w.mem_size ~technique ~coco ~n_threads mtp
+
 let measure ?fuel ?expect c =
-  measure_prog ?fuel
+  measure_of ?fuel
     ~oracle:(resolve_oracle ?fuel ?expect c.workload)
     ~technique:c.technique ~coco:c.coco ~n_threads:c.n_threads c.workload
     c.mtp
 
 let measure_artifact ?fuel ?expect (a : artifact) =
-  measure_prog ?fuel
+  measure_of ?fuel
     ~oracle:(resolve_oracle ?fuel ?expect a.a_workload)
     ~technique:a.a_technique ~coco:a.a_coco ~n_threads:a.a_n_threads
     a.a_workload a.a_mtp
@@ -365,7 +409,7 @@ let cell_name = function
 
 let measure_mt ?fuel ~oracle ~n_threads technique coco w =
   let c = compile ~n_threads ~coco technique w in
-  measure_prog ?fuel ~oracle ~technique ~coco ~n_threads w c.mtp
+  measure_of ?fuel ~oracle ~technique ~coco ~n_threads w c.mtp
 
 let measure_cell ?fuel ?expect ?(n_threads = 2) kind w =
   match kind with

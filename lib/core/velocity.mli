@@ -132,6 +132,18 @@ val compile_cached :
   Workload.t ->
   artifact
 
+(** The miss half of {!compile_cached}: compile, then store the
+    artifact under [key] when given a cache and [verify], without
+    looking [key] up — for a caller that already probed the cache. *)
+val compile_store :
+  ?cache:Gmt_cache.Cache.t * string ->
+  ?n_threads:int ->
+  ?coco:bool ->
+  ?verify:bool ->
+  technique ->
+  Workload.t ->
+  artifact
+
 type metrics = {
   dyn_instrs : int;     (** total dynamic instructions, all threads *)
   comm_instrs : int;    (** produce+consume+sync instructions *)
@@ -167,6 +179,37 @@ val measure_reference :
   ?fuel:int ->
   Workload.t ->
   metrics * (int array * int)
+
+(** MD5 of a final memory image, taken over fixed 4 KB chunks and then
+    over the chunk digests, so it allocates nothing proportional to the
+    image. Equal images have equal digests. *)
+val memory_digest : int array -> string
+
+(** What a multi-threaded cell's final memory is checked against: the
+    reference's final image itself, or its {!memory_digest}. *)
+type oracle = Image of int array | Image_digest of string
+
+(** The measurement core under {!measure}, {!measure_artifact} and
+    {!run_matrix}: simulate the generated program of cell
+    [name]/[technique] on [input], the reference input of a program
+    with [mem_size] words of memory, and check its final memory against
+    [oracle] — [None] when the reference ran out of [fuel], which
+    reports the cell [fuel_exhausted]. It reads nothing else of the
+    workload, so a caller holding only those three values, and a digest
+    for an oracle, measures a cell without the parsed program.
+    @raise Failure on divergence.
+    @raise Deadlock on deadlock, with a per-thread blocked report. *)
+val measure_prog :
+  ?fuel:int ->
+  oracle:oracle option ->
+  name:string ->
+  input:Workload.input ->
+  mem_size:int ->
+  technique:technique ->
+  coco:bool ->
+  n_threads:int ->
+  Mtprog.t ->
+  metrics
 
 (** Simulate compiled code on the reference input, and check that its
     final memory matches the oracle [expect] — computed by

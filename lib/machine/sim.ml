@@ -47,7 +47,9 @@ let deadlock_threshold (mc : Config.t) =
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-let run ?(fuel = 100_000_000) ?(init_regs = []) ?(init_mem = [])
+let default_fuel = 100_000_000
+
+let run ?(fuel = default_fuel) ?(init_regs = []) ?(init_mem = [])
     (mc : Config.t) (p : Mtprog.t) ~mem_size =
   if not (is_pow2 mem_size) then invalid_arg "Sim.run: mem_size not 2^k";
   let n_cores = Array.length p.Mtprog.threads in

@@ -81,10 +81,15 @@ val n_stall_buckets : int
     synchronization-array latency. *)
 val deadlock_threshold : Config.t -> int
 
+(** The cycle budget of a run given no [fuel]: 100M. *)
+val default_fuel : int
+
 (** Simulate [p] on [mc] from [init_regs] (copied into every thread)
-    and [init_mem]. [fuel] (default 100M) bounds the simulated cycles: a
-    run that reaches it stops mid-flight with [fuel_exhausted] set and
-    partial memory, counts and cycles. *)
+    and [init_mem]. [fuel] (default {!default_fuel}) bounds the
+    simulated cycles: a run that reaches it stops mid-flight with
+    [fuel_exhausted] set and partial memory, counts and cycles. A run
+    that completes under some fuel completes identically under any
+    larger fuel. *)
 val run :
   ?fuel:int ->
   ?init_regs:(Reg.t * int) list ->

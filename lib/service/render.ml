@@ -75,61 +75,170 @@ let technique_of_name = function
   | "dswp" -> Some V.Dswp
   | _ -> None
 
-let cell_label (w : W.t) technique coco =
-  Printf.sprintf "%s/%s" w.W.name (V.cell_name (V.Mt (technique, coco)))
+let cell_label name technique coco =
+  Printf.sprintf "%s/%s" name (V.cell_name (V.Mt (technique, coco)))
+
+let parse_failure ~cache_status e =
+  {
+    out = "";
+    err = Printf.sprintf "gmtc: %s\n" (Text.render_error e);
+    code = exit_parse;
+    cache_status;
+  }
+
+let lookup cache =
+  Obs.span ~cat:"stage" "req.cache.lookup" (fun () ->
+      Option.bind cache (fun (c, key) -> Cache.find c key))
 
 (* ------------------------------- run ------------------------------- *)
 
-(* The reference runs first: it is the oracle the compiled cell is
-   checked against, so a reference that runs out of fuel ends the
-   request before the cache is probed (counting neither a hit nor a
-   miss). *)
-let run ?cache ?fuel ?(verify = true) ~technique ~coco ~threads (w : W.t) =
-  let label = cell_label w technique coco in
-  let status = ref "none" in
-  guarded status @@ fun () ->
-  let st, expect =
+(* [mem] holds address, value, address, value, ...: two words a pair
+   where the parsed list takes six. *)
+type input = { regs : (Gmt_ir.Reg.t * int) list; mem : int array }
+
+type reference = {
+  name : string;
+  mem_size : int;
+  input : input;
+  st_instrs : int;
+  st_cycles : int;
+  digest : string;
+  fuel : int;
+}
+
+let fuel_or_default = Option.value ~default:Gmt_machine.Sim.default_fuel
+let applies ?fuel r = r.fuel <= fuel_or_default fuel
+
+let reference_of ?fuel (w : W.t) (st : V.metrics) image =
+  let pairs = w.W.reference.W.mem in
+  let mem = Array.make (2 * List.length pairs) 0 in
+  List.iteri
+    (fun i (a, v) ->
+      mem.(2 * i) <- a;
+      mem.((2 * i) + 1) <- v)
+    pairs;
+  {
+    name = w.W.name;
+    mem_size = w.W.mem_size;
+    input = { regs = w.W.reference.W.regs; mem };
+    st_instrs = st.V.dyn_instrs;
+    st_cycles = st.V.cycles;
+    digest = V.memory_digest image;
+    fuel = fuel_or_default fuel;
+  }
+
+(* A record's flat input, as the simulator takes it. *)
+let input_of { regs; mem } =
+  let rec pairs i acc =
+    if i < 0 then acc else pairs (i - 2) ((mem.(i - 1), mem.(i)) :: acc)
+  in
+  { W.regs; mem = pairs (Array.length mem - 1) [] }
+
+(* The reference stage: simulate the single-threaded original. It is
+   the oracle the compiled cell is checked against, so a reference that
+   deadlocks or runs out of fuel ends the request before the cache is
+   probed (counting neither a hit nor a miss). *)
+let reference_stage ?fuel (w : W.t) =
+  let st, (image, _) =
     Obs.span ~cat:"stage" "req.simulate" (fun () ->
         V.measure_reference ?fuel w)
   in
   if st.V.deadlocked then
     raise (V.Deadlock (w.W.name ^ "/single: simulator deadlock"));
   if st.V.fuel_exhausted then raise (Timeout (w.W.name ^ "/single"));
-  if cache <> None then status := "miss";
-  let a =
-    V.compile_cached ?cache ~n_threads:threads ~coco ~verify technique w
-  in
-  if cache <> None && a.V.a_from_cache then status := "hit";
+  (st, image)
+
+(* The cell stage every run ends in: simulate the compiled cell, check
+   its final memory against [oracle], and render the report. [input] is
+   built inside the simulate stage, where a record-served cell pays for
+   rebuilding it. *)
+let cell_stage ?fuel ~cache_status ~name ~input ~mem_size ~st ~oracle
+    ~technique ~coco ~threads mtp =
+  let st_instrs, st_cycles = st in
   let m =
     Obs.span ~cat:"stage" "req.simulate" (fun () ->
-        V.measure_artifact ?fuel ~expect a)
+        V.measure_prog ?fuel ~oracle:(Some oracle) ~name ~input:(input ())
+          ~mem_size ~technique ~coco ~n_threads:threads mtp)
   in
-  if m.V.fuel_exhausted then raise (Timeout label);
+  if m.V.fuel_exhausted then raise (Timeout (cell_label name technique coco));
   let buf = Buffer.create 512 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  pf "%s / %s%s / %d threads\n" w.W.name (V.technique_name technique)
+  pf "%s / %s%s / %d threads\n" name (V.technique_name technique)
     (if coco then "+COCO" else "")
     threads;
-  pf "  single-threaded : %8d instrs %8d cycles\n" st.V.dyn_instrs st.V.cycles;
+  pf "  single-threaded : %8d instrs %8d cycles\n" st_instrs st_cycles;
   pf "  multi-threaded  : %8d instrs %8d cycles\n" m.V.dyn_instrs m.V.cycles;
   pf "  communication   : %8d instrs (%.1f%%), %d memory syncs\n"
     m.V.comm_instrs
     (100.0 *. float_of_int m.V.comm_instrs /. float_of_int m.V.dyn_instrs)
     m.V.mem_syncs;
   pf "  speedup         : %.2fx\n"
-    (float_of_int st.V.cycles /. float_of_int m.V.cycles);
+    (float_of_int st_cycles /. float_of_int m.V.cycles);
   pf "  (memory state verified against the single-threaded run)\n";
-  { out = Buffer.contents buf; err = ""; code = 0; cache_status = !status }
+  { out = Buffer.contents buf; err = ""; code = 0; cache_status }
+
+(* A run from the parsed program: the reference stage, whose record
+   goes to [remember], then one probe (compiling and storing on a miss),
+   then the cell stage against the exact reference image. *)
+let run_workload ?cache ?fuel ?remember ~verify ~technique ~coco ~threads
+    (w : W.t) =
+  let status = ref "none" in
+  guarded status @@ fun () ->
+  let st, image = reference_stage ?fuel w in
+  Option.iter (fun f -> f (reference_of ?fuel w st image)) remember;
+  if cache <> None then status := "miss";
+  let a =
+    V.compile_cached ?cache ~n_threads:threads ~coco ~verify technique w
+  in
+  if cache <> None && a.V.a_from_cache then status := "hit";
+  cell_stage ?fuel ~cache_status:!status ~name:w.W.name
+    ~input:(fun () -> w.W.reference)
+    ~mem_size:w.W.mem_size
+    ~st:(st.V.dyn_instrs, st.V.cycles)
+    ~oracle:(V.Image image) ~technique ~coco ~threads a.V.a_mtp
+
+let run ?fuel ?(verify = true) ~technique ~coco ~threads w =
+  run_workload ?fuel ~verify ~technique ~coco ~threads w
+
+(* A run served from its cell's record: one probe, and the text is
+   parsed only to compile a missing artifact, stored without a second
+   probe. The cell stage checks against the recorded digest. *)
+let run_recorded ?cache ?fuel ~technique ~coco ~threads r text =
+  let cell cache_status program =
+    guarded (ref cache_status) @@ fun () ->
+    cell_stage ?fuel ~cache_status ~name:r.name
+      ~input:(fun () -> input_of r.input)
+      ~mem_size:r.mem_size ~st:(r.st_instrs, r.st_cycles)
+      ~oracle:(V.Image_digest r.digest) ~technique ~coco ~threads (program ())
+  in
+  match lookup cache with
+  | Some e -> cell "hit" (fun () -> e.Cache.mtp)
+  | None -> (
+    let cache_status = if cache = None then "none" else "miss" in
+    match Text.parse ~file:"<request>" text with
+    | Error e -> parse_failure ~cache_status e
+    | Ok w ->
+      cell cache_status (fun () ->
+          (V.compile_store ?cache ~n_threads:threads ~coco technique w)
+            .V.a_mtp))
+
+let run_text ?cache ?fuel ?reference ?remember ~technique ~coco ~threads text
+    =
+  match reference with
+  | Some r when applies ?fuel r ->
+    run_recorded ?cache ?fuel ~technique ~coco ~threads r text
+  | _ -> (
+    match Text.parse ~file:"<request>" text with
+    | Error e -> parse_failure ~cache_status:"none" e
+    | Ok w ->
+      run_workload ?cache ?fuel ?remember ~verify:true ~technique ~coco
+        ~threads w)
 
 (* ------------------------------ check ------------------------------ *)
 
 let verified_out ~label ~threads n_queues comm_sites =
   Printf.sprintf "%s: verified (%d threads, %d queues, %d comm sites)\n" label
     threads n_queues comm_sites
-
-let lookup cache =
-  Obs.span ~cat:"stage" "req.cache.lookup" (fun () ->
-      Option.bind cache (fun (c, key) -> Cache.find c key))
 
 let hit_outcome ~label ~threads (e : Cache.entry) =
   {
@@ -143,7 +252,7 @@ let hit_outcome ~label ~threads (e : Cache.entry) =
 (* A check whose lookup missed (or that has no cache): compile
    unverified, validate, and store only a clean artifact. *)
 let check_miss ?cache ~technique ~coco ~threads (w : W.t) =
-  let label = cell_label w technique coco in
+  let label = cell_label w.W.name technique coco in
   let cache_status = if cache = None then "none" else "miss" in
   guarded (ref cache_status) @@ fun () ->
   let c =
@@ -185,7 +294,7 @@ let check_miss ?cache ~technique ~coco ~threads (w : W.t) =
 let check ?cache ~technique ~coco ~threads (w : W.t) =
   match lookup cache with
   | Some e ->
-    hit_outcome ~label:(cell_label w technique coco) ~threads e
+    hit_outcome ~label:(cell_label w.W.name technique coco) ~threads e
   | None -> check_miss ?cache ~technique ~coco ~threads w
 
 (* The service's hot path: the caller keyed the received text as-is,
@@ -198,20 +307,11 @@ let check ?cache ~technique ~coco ~threads (w : W.t) =
 let check_text ?cache ~technique ~coco ~threads text =
   match lookup cache with
   | Some e ->
-    let label =
-      Printf.sprintf "%s/%s" e.Cache.w_name
-        (V.cell_name (V.Mt (technique, coco)))
-    in
-    hit_outcome ~label ~threads e
+    hit_outcome ~label:(cell_label e.Cache.w_name technique coco) ~threads e
   | None -> (
     match Text.parse ~file:"<request>" text with
     | Error e ->
-      {
-        out = "";
-        err = Printf.sprintf "gmtc: %s\n" (Text.render_error e);
-        code = exit_parse;
-        cache_status = (if cache = None then "none" else "miss");
-      }
+      parse_failure ~cache_status:(if cache = None then "none" else "miss") e
     | Ok w -> check_miss ?cache ~technique ~coco ~threads w)
 
 (* ------------------------------ sweep ------------------------------ *)

@@ -40,17 +40,13 @@ type outcome = {
 }
 
 (** [gmtc run]: single-threaded baseline vs one compiled cell, with the
-    speedup report. Two simulations, in order: the reference
-    ({!V.measure_reference}), then the compiled cell checked against its
-    memory. [fuel] bounds each simulation's cycles; exhaustion yields
-    {!exit_timeout}, and a reference that exhausts it ends the request
-    before the cache is probed ([cache_status] ["none"]). [cache] pairs
-    the artifact cache with the cell's key, {!V.fingerprint} of the
-    program text: the caller (the server, which receives the text on the
-    wire) computes it once, and nothing here prints or hashes the
-    program. *)
+    speedup report. Two stages, one simulation each: the reference
+    stage simulates the single-threaded original
+    ({!V.measure_reference}); after the cell is compiled, the cell stage
+    simulates it and checks its final memory against the reference
+    image. [fuel] bounds each simulation's cycles; exhaustion yields
+    {!exit_timeout}. *)
 val run :
-  ?cache:Gmt_cache.Cache.t * string ->
   ?fuel:int ->
   ?verify:bool ->
   technique:V.technique ->
@@ -59,9 +55,64 @@ val run :
   Workload.t ->
   outcome
 
+(** A program's reference input, held in a flat form that takes a third
+    of the parsed lists' words. Equal inputs are structurally equal, so
+    records of one program can share one copy. *)
+type input
+
+(** A program's completed reference run, reduced to what a [run] of one
+    of its cells reads: the daemon keeps one per cell key, so that a
+    repeated [run] neither parses its program nor simulates the
+    reference again. It holds no function, train input, memory image,
+    multi-threaded result or reply. *)
+type reference = {
+  name : string;  (** workload name *)
+  mem_size : int;
+  input : input;
+  st_instrs : int;  (** single-threaded dynamic instructions *)
+  st_cycles : int;  (** single-threaded cycles *)
+  digest : string;
+      (** {!V.memory_digest} of the reference's final memory: the
+          oracle a record-served cell is checked against *)
+  fuel : int;
+      (** the fuel the reference completed under, no fuel resolved to
+          {!Gmt_machine.Sim.default_fuel} *)
+}
+
+(** [applies ?fuel r] — [r] can serve a run under [fuel] (no fuel
+    meaning {!Gmt_machine.Sim.default_fuel}): [fuel] is at least the
+    fuel [r] completed under, and a simulation that completed under
+    some fuel completes identically under any larger one. *)
+val applies : ?fuel:int -> reference -> bool
+
+(** [run_text] is {!run} on the GMT-IR text itself — the server's
+    path. [cache] pairs the artifact cache with the cell's key, as for
+    {!check}. [reference], a record taken from a completed run of the
+    same key, is used when it {!applies}: the request then probes the
+    cache once and, on a hit, simulates only the cell, checking its
+    final memory against [reference.digest]; it parses nothing and
+    simulates no reference. On a miss it parses and compiles, and stores
+    without a second probe. Otherwise the text is parsed and runs as
+    {!run} does (a reference that exhausts [fuel] ends the request
+    before the cache is probed, [cache_status] ["none"]), and
+    [remember] receives the record of a reference that completed. A
+    parse error renders as offline [gmtc]'s, with {!exit_parse}. *)
+val run_text :
+  ?cache:Gmt_cache.Cache.t * string ->
+  ?fuel:int ->
+  ?reference:reference ->
+  ?remember:(reference -> unit) ->
+  technique:V.technique ->
+  coco:bool ->
+  threads:int ->
+  string ->
+  outcome
+
 (** [gmtc check]: translation-validate one cell. A cache hit serves the
     stored verdict; a miss compiles unverified, runs the validator, and
-    stores only a clean artifact. [cache] as for {!run}. *)
+    stores only a clean artifact. [cache] pairs the artifact cache with
+    the cell's key, {!V.fingerprint} of the program text: the caller
+    computes it once, and nothing here prints or hashes the program. *)
 val check :
   ?cache:Gmt_cache.Cache.t * string ->
   technique:V.technique ->

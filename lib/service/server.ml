@@ -46,6 +46,7 @@ type instruments = {
   c_timeouts : Registry.counter;
   c_hits : Registry.counter;
   c_misses : Registry.counter;
+  c_reused : Registry.counter;
   c_traced : Registry.counter;
   c_sf_leads : Registry.counter;
   c_sf_waits : Registry.counter;
@@ -81,6 +82,7 @@ let make_instruments () =
     c_timeouts = Registry.counter reg "req.fuel_timeouts";
     c_hits = Registry.counter reg "req.cache.hits";
     c_misses = Registry.counter reg "req.cache.misses";
+    c_reused = Registry.counter reg "req.reference.reused";
     c_traced = Registry.counter reg "req.traced";
     c_sf_leads = Registry.counter reg "farm.singleflight.leads";
     c_sf_waits = Registry.counter reg "farm.singleflight.waits";
@@ -117,9 +119,73 @@ let assoc_find key arr =
   in
   go 0
 
+(* The reference records of completed runs, by cell key: at most
+   [capacity] of them, the least recently used dropped first, under one
+   mutex like the artifact cache's. A record is small — no image, no
+   program — and cells of one program share one copy of its reference
+   input. *)
+type references = {
+  lock : Mutex.t;
+  table : (string, Render.reference * int ref) Hashtbl.t;
+  capacity : int;
+  mutable clock : int;
+}
+
+let references_create capacity =
+  {
+    lock = Mutex.create ();
+    table = Hashtbl.create 64;
+    capacity = max 1 capacity;
+    clock = 0;
+  }
+
+let with_lock refs f =
+  Mutex.lock refs.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock refs.lock) f
+
+let tick refs =
+  refs.clock <- refs.clock + 1;
+  refs.clock
+
+let references_find refs key =
+  with_lock refs @@ fun () ->
+  Option.map
+    (fun (r, last) ->
+      last := tick refs;
+      r)
+    (Hashtbl.find_opt refs.table key)
+
+(* Insert [r] under [key], reusing the input of a record of the same
+   program, then drop least-recently-used records beyond capacity (a
+   linear scan, as the capacity is small). *)
+let references_add refs key (r : Render.reference) =
+  with_lock refs @@ fun () ->
+  let same (o : Render.reference) =
+    String.equal o.Render.name r.Render.name && o.Render.input = r.Render.input
+  in
+  let r =
+    match Seq.find (fun (o, _) -> same o) (Hashtbl.to_seq_values refs.table)
+    with
+    | Some (o, _) -> { r with Render.input = o.Render.input }
+    | None -> r
+  in
+  Hashtbl.replace refs.table key (r, ref (tick refs));
+  while Hashtbl.length refs.table > refs.capacity do
+    let victim =
+      Hashtbl.fold
+        (fun k (_, last) acc ->
+          match acc with
+          | Some (_, t) when t <= !last -> acc
+          | _ -> Some (k, !last))
+        refs.table None
+    in
+    Option.iter (fun (k, _) -> Hashtbl.remove refs.table k) victim
+  done
+
 type t = {
   cfg : config;
   cache : Cache.t;
+  references : references;
   pool : Pool.t;
   listen_fd : Unix.file_descr;
   tcp_fd : Unix.file_descr option;
@@ -132,6 +198,10 @@ type t = {
 }
 
 let cache t = t.cache
+
+let references t =
+  with_lock t.references (fun () -> Hashtbl.length t.references.table)
+
 let socket t = t.cfg.socket
 let registry t = Option.map (fun i -> i.reg) t.ins
 
@@ -188,9 +258,9 @@ type cell = { technique : V.technique; coco : bool; threads : int }
 type job = Run of cell | Check of cell | Sweep of int  (* max_threads *)
 type request = { job : job; fuel : int option (* as requested *) }
 
-(* A request that lacks a program or names an unknown technique is
-   answered here, before any flight starts — with the message and exit
-   offline gmtc gives. *)
+(* A request that lacks a program, names an unknown technique or asks
+   for fewer than one thread is answered here, before any flight
+   starts — with the exit offline gmtc gives for a malformed input. *)
 let decode j payload =
   Obs.span ~cat:"stage" "req.decode" @@ fun () ->
   let fuel = Proto.int_field j "fuel" in
@@ -205,7 +275,12 @@ let decode j payload =
     | Some technique ->
       let coco = Option.value (Proto.bool_field j "coco") ~default:false in
       let threads = Option.value (Proto.int_field j "threads") ~default:2 in
-      Ok { job = make { technique; coco; threads }; fuel }
+      if threads < 1 then
+        Error
+          (outcome_err ~code:Render.exit_parse
+             (Printf.sprintf "gmtc: threads must be positive, got %d\n"
+                threads))
+      else Ok { job = make { technique; coco; threads }; fuel }
   in
   if payload = "" then
     Error (outcome_err ~code:Render.exit_parse "gmtc: request lacks GMT-IR\n")
@@ -259,28 +334,36 @@ let request_keys j payload =
     (decode j payload)
 
 (* Render a decoded request under its cell [key]. [check] defers parsing
-   to {!Render.check_text} so a warm request never pays for it; [run]
-   and [sweep] simulate and must parse regardless. A parse failure here
-   means a foreign client — it gets the same message and exit offline
-   gmtc would give for a broken [.gmt] file. *)
+   to {!Render.check_text} so a warm request never pays for it. A [run]
+   whose cell has a record that applies is served from it: one cache
+   probe and one simulation, no parse. Any other [run], and every
+   [sweep], parses and simulates in full; a [run] that completes its
+   reference leaves a record behind. A parse failure means a foreign
+   client — it gets the same message and exit offline gmtc would give
+   for a broken [.gmt] file. *)
 let serve t { job; fuel } key payload =
   let fuel = effective_fuel t.cfg fuel in
-  let parsed render =
+  match job with
+  | Sweep max_threads -> (
     match Text.parse ~file:"<request>" payload with
     | Error e ->
       outcome_err ~code:Render.exit_parse
         (Printf.sprintf "gmtc: %s\n" (Text.render_error e))
-    | Ok w -> render w
-  in
-  match job with
-  | Sweep max_threads -> parsed (Render.sweep ~jobs:1 ?fuel ~max_threads)
+    | Ok w -> Render.sweep ~jobs:1 ?fuel ~max_threads w)
   | Check c ->
     Render.check_text ~cache:(t.cache, key) ~technique:c.technique
       ~coco:c.coco ~threads:c.threads payload
   | Run c ->
-    parsed
-      (Render.run ~cache:(t.cache, key) ?fuel ~technique:c.technique
-         ~coco:c.coco ~threads:c.threads)
+    let reference =
+      match references_find t.references key with
+      | Some r when Render.applies ?fuel r ->
+        Option.iter (fun ins -> Registry.incr ins.c_reused) t.ins;
+        Some r
+      | _ -> None
+    in
+    Render.run_text ~cache:(t.cache, key) ?fuel ?reference
+      ~remember:(references_add t.references key)
+      ~technique:c.technique ~coco:c.coco ~threads:c.threads payload
 
 let stats_json t =
   let s = Cache.stats t.cache in
@@ -449,9 +532,10 @@ let handle_request t j payload =
         | Some sf -> Singleflight.run sf flight serve)
     in
     (* Collect the request's span tree when either consumer wants it:
-       the stage histograms (telemetry on) or a traced client. [Render]
-       is always called with [~jobs:1], so every inner span completes on
-       this domain and lands in the collector. *)
+       the stage histograms (telemetry on) or a traced client. Only
+       [Render.sweep] can fan out, and [serve] calls it with [~jobs:1],
+       so every inner span completes on this domain and lands in the
+       collector. *)
     let ((o, role), reply), spans =
       if t.ins <> None || trace_id <> None then
         Obs.collect (fun () ->
@@ -607,6 +691,7 @@ let start cfg =
   Gc.set { (Gc.get ()) with Gc.space_overhead = 800 };
   let cache = Cache.create ~mem_capacity:cfg.mem_capacity ?dir:cfg.cache_dir ()
   in
+  let references = references_create cfg.mem_capacity in
   (* Request handlers block — in read_frame on a slow client, and on
      the single-flight condvar while joining a leader's compile — so
      the pool runs in blocking mode: all [jobs] workers active whatever
@@ -660,6 +745,7 @@ let start cfg =
     {
       cfg;
       cache;
+      references;
       pool;
       listen_fd;
       tcp_fd;

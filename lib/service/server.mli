@@ -64,6 +64,13 @@ val start : config -> t
     entry drill and the [stats] op). *)
 val cache : t -> Gmt_cache.Cache.t
 
+(** The number of reference records the daemon holds: one per cell key
+    whose [run] completed its single-threaded reference, at most
+    [mem_capacity], least recently used dropped first. A later [run] of
+    such a cell, under no less fuel, is served from its record
+    ({!Render.run_text}) and counted in [req.reference.reused]. *)
+val references : t -> int
+
 val socket : t -> string
 
 (** The port the TCP listener actually bound ([None] without one) —

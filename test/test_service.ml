@@ -17,6 +17,7 @@ module Registry = Gmt_telemetry.Registry
 module V = Gmt_core.Velocity
 module Text = Gmt_frontend.Text
 module Suite = Gmt_workloads.Suite
+module W = Gmt_workloads.Workload
 
 let socket_counter = ref 0
 
@@ -26,7 +27,8 @@ let fresh_socket () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "gmtd-test-%d-%d.sock" (Unix.getpid ()) !socket_counter)
 
-let with_server ?cache_dir ?(jobs = 2) ?(queue_bound = 64) ?fuel_cap f =
+let with_server ?cache_dir ?(jobs = 2) ?(queue_bound = 64) ?fuel_cap
+    ?(mem_capacity = 128) f =
   let cfg =
     {
       (Server.default_config ~socket:(fresh_socket ())) with
@@ -34,6 +36,7 @@ let with_server ?cache_dir ?(jobs = 2) ?(queue_bound = 64) ?fuel_cap f =
       cache_dir;
       queue_bound;
       fuel_cap;
+      mem_capacity;
     }
   in
   let srv = Server.start cfg in
@@ -403,6 +406,21 @@ let test_traced_request () =
       Alcotest.(check int) ("cold run: no " ^ name ^ " span") 0
         (List.length (named name spans)))
     [ "oracle.interp"; "verify.mt_interp" ];
+  (* A warm run is one cache probe and one simulation: the record the
+     cold run left replaces the parse and the reference. *)
+  let traced_run req =
+    match Client.rpc ~socket req with
+    | Ok j -> (
+      match Json.member "spans" j with
+      | Some arr -> Trace.spans_of_json arr
+      | None -> Alcotest.fail "traced run reply lacks spans")
+    | Error _ -> Alcotest.fail "traced run failed"
+  in
+  let warm = traced_run req in
+  Alcotest.(check int) "warm run: one sim.run span" 1
+    (List.length (named "sim.run" warm));
+  Alcotest.(check int) "warm run: one req.cache.lookup span" 1
+    (List.length (named "req.cache.lookup" warm));
   (* One digest per request: a cold check (a cell the run above did not
      store) carries exactly one fingerprint span, and a warm check of
      the largest kernel allocates about one copy of its payload — the
@@ -435,6 +453,23 @@ let test_traced_request () =
       true (ratio < 1.5)
   | l ->
     Alcotest.failf "warm check: %d serve.check spans" (List.length l));
+  (* A warm run of the largest kernel allocates a few copies of its
+     payload (the key's digest input, the simulator's memory, the
+     rebuilt reference input), not the parsed program and a second
+     simulation. *)
+  let mesa_run =
+    Client.traced ~trace_id
+      (Client.run_request ~gmt:mesa ~technique:"gremio" ~coco:false
+         ~threads:2 ())
+  in
+  ignore (traced_run mesa_run);
+  (match named "serve.run" (traced_run mesa_run) with
+  | [ serve ] ->
+    let ratio = serve.Obs.alloc_bytes /. float_of_int (String.length mesa) in
+    Alcotest.(check bool)
+      (Printf.sprintf "warm run allocates %.2fx its payload (< 4x)" ratio)
+      true (ratio < 4.0)
+  | l -> Alcotest.failf "warm run: %d serve.run spans" (List.length l));
   (* Stitch: a typed client call inside a collect scope adopts the
      reply's spans next to the local round-trip span, and the resulting
      Chrome trace is well-formed JSON with both halves. *)
@@ -588,6 +623,142 @@ let test_telemetry_off () =
       (Json.member "prometheus" j = None)
   | Error _ -> Alcotest.fail "stats rpc failed"
 
+(* -------------------------- warm-run contract ---------------------- *)
+
+(* A run of a cell the daemon already ran to completion is served from
+   the cell's reference record. It must reply offline bytes, apply only
+   under no less fuel than the record's, make exactly one cache probe
+   (so the request counters stay equal to the cache's own), never serve
+   another payload from a record, and keep the table within
+   mem_capacity. *)
+let test_warm_run_contract () =
+  let w = workload "ks" in
+  let gmt = Text.print w in
+  (* ks with one reference-memory value changed: same name, same code,
+     a different final image. *)
+  let w' =
+    match w.W.reference.W.mem with
+    | (a, v) :: rest ->
+      { w with W.reference = { w.W.reference with mem = (a, v + 1) :: rest } }
+    | [] -> Alcotest.fail "ks has no reference memory"
+  in
+  let image w = fst (snd (V.measure_reference w)) in
+  Alcotest.(check bool) "the changed value changes the final image" true
+    (image w <> image w');
+  let offline ?fuel ?(w = w) technique coco =
+    Render.run ?fuel ~technique ~coco ~threads:2 w
+  in
+  let expect = offline V.Gremio false in
+  let capacity = 2 in
+  with_server ~mem_capacity:capacity @@ fun srv ->
+  let socket = Server.socket srv in
+  let run ?fuel ?(gmt = gmt) ?(technique = "gremio") () =
+    request_ok ~socket
+      (Client.run_request ~gmt ~technique ~coco:false ~threads:2 ?fuel ())
+  in
+  let check_request ~technique ~coco =
+    request_ok ~socket
+      (Client.check_request ~gmt ~technique ~coco ~threads:2 ())
+  in
+  let counter name =
+    match
+      Option.bind (Server.registry srv) (fun r -> Registry.find_counter r name)
+    with
+    | Some c -> Registry.counter_value c
+    | None -> Alcotest.failf "no counter %s" name
+  in
+  let served label ?(status = "hit") ~reused expect o =
+    check_outcome label expect o;
+    Alcotest.(check string) (label ^ ": cache") status o.Render.cache_status;
+    Alcotest.(check int) (label ^ ": reused") reused
+      (counter "req.reference.reused");
+    Alcotest.(check bool) (label ^ ": table within mem_capacity") true
+      (Server.references srv <= capacity)
+  in
+  let counters_agree label =
+    let s = Cache.stats (Server.cache srv) in
+    Alcotest.(check int) (label ^ ": hits") s.Cache.hits
+      (counter "req.cache.hits");
+    Alcotest.(check int) (label ^ ": misses") s.Cache.misses
+      (counter "req.cache.misses")
+  in
+  served "cold" ~status:"miss" ~reused:0 expect (run ());
+  Alcotest.(check int) "cold run leaves a record" 1 (Server.references srv);
+  served "warm" ~reused:1 expect (run ());
+  (* Below the recorded fuel the record does not apply: the reference
+     runs again, and times out before the cache is probed. *)
+  let short = run ~fuel:10 () in
+  served "fuel 10" ~status:"none" ~reused:1 (offline ~fuel:10 V.Gremio false)
+    short;
+  Alcotest.(check bool) "fuel 10: the reference timed out" true
+    (String.starts_with ~prefix:"gmtc: timeout: ks/single" short.Render.err);
+  Alcotest.(check int) "fuel 10: exit" Render.exit_timeout short.Render.code;
+  let fuel = 2 * Gmt_machine.Sim.default_fuel in
+  served "larger fuel" ~reused:2 (offline ~fuel V.Gremio false) (run ~fuel ());
+  counters_agree "fuel sequence";
+  (* Two checks of other cells fill the 2-entry cache and evict the
+     artifact; the record stays, so the run recompiles with one counted
+     miss and no second probe. *)
+  ignore (check_request ~technique:"dswp" ~coco:false);
+  ignore (check_request ~technique:"gremio" ~coco:true);
+  Alcotest.(check int) "checks leave no record" 1 (Server.references srv);
+  let misses = (Cache.stats (Server.cache srv)).Cache.misses in
+  served "evicted artifact" ~status:"miss" ~reused:3 expect (run ());
+  Alcotest.(check int) "evicted artifact: one miss" (misses + 1)
+    (Cache.stats (Server.cache srv)).Cache.misses;
+  counters_agree "evicted artifact";
+  (* The changed payload has its own key and record: served cold and
+     warm, it must reply the changed program's offline bytes. *)
+  let gmt' = Text.print w' in
+  let expect' = offline ~w:w' V.Gremio false in
+  served "changed, cold" ~status:"miss" ~reused:3 expect' (run ~gmt:gmt' ());
+  served "changed, warm" ~reused:4 expect' (run ~gmt:gmt' ());
+  served "original, warm" ~reused:5 expect (run ());
+  (* A third record evicts the least recently used one. *)
+  served "third cell" ~status:"miss" ~reused:5 (offline V.Dswp false)
+    (run ~technique:"dswp" ());
+  Alcotest.(check int) "table at mem_capacity" capacity
+    (Server.references srv);
+  served "changed, evicted record" ~status:"miss" ~reused:5 expect'
+    (run ~gmt:gmt' ());
+  counters_agree "end";
+  (* The counter rides the stats/2 frame and its Prometheus text. *)
+  match Client.rpc ~socket Client.stats_request with
+  | Ok j ->
+    Alcotest.(check bool) "stats/2 counts 5 reused references" true
+      (Option.bind (Json.member "telemetry" j) (fun t ->
+           Option.bind (Json.member "counters" t)
+             (Json.member "req.reference.reused"))
+      = Some (Json.Num 5.0));
+    Alcotest.(check bool) "prometheus counts 5 reused references" true
+      (match Json.member "prometheus" j with
+      | Some (Json.Str text) ->
+        List.mem "gmt_req_reference_reused 5" (String.split_on_char '\n' text)
+      | _ -> false)
+  | Error _ -> Alcotest.fail "stats rpc failed"
+
+(* A request for fewer than one thread is the client's error: a plain
+   malformed-request outcome, answered before any flight starts. *)
+let test_threads_zero () =
+  with_server @@ fun srv ->
+  let socket = Server.socket srv in
+  let gmt = Text.print (workload "ks") in
+  List.iter
+    (fun (op, req) ->
+      let o = request_ok ~socket req in
+      Alcotest.(check int) (op ^ ": exit") Render.exit_parse o.Render.code;
+      Alcotest.(check string) (op ^ ": stderr")
+        "gmtc: threads must be positive, got 0\n" o.Render.err;
+      Alcotest.(check string) (op ^ ": cache") "none" o.Render.cache_status)
+    [
+      ( "run",
+        Client.run_request ~gmt ~technique:"gremio" ~coco:false ~threads:0 ()
+      );
+      ( "check",
+        Client.check_request ~gmt ~technique:"gremio" ~coco:false ~threads:0
+          () );
+    ]
+
 (* --------------------------- request keys -------------------------- *)
 
 (* The single-flight key is derived from the request's one digest
@@ -695,6 +866,8 @@ let tests =
     Alcotest.test_case "fuel timeout" `Quick test_fuel_timeout;
     Alcotest.test_case "server fuel cap" `Quick test_fuel_cap;
     Alcotest.test_case "traced request round-trip" `Quick test_traced_request;
+    Alcotest.test_case "warm run contract" `Quick test_warm_run_contract;
+    Alcotest.test_case "threads 0 rejected" `Quick test_threads_zero;
     Alcotest.test_case "request keys" `Quick test_request_keys;
     Alcotest.test_case "stats/2 frame" `Quick test_stats2_frame;
     Alcotest.test_case "telemetry off" `Quick test_telemetry_off;
