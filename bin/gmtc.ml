@@ -770,7 +770,7 @@ let parse_listen s =
 
 let serve_cmd =
   let run socket listen self peers mem_capacity jobs cache_dir queue_bound
-      fuel_cap no_telemetry no_coalesce trace metrics =
+      fuel_cap trace metrics =
     let jobs = resolve_jobs jobs in
     with_obs trace metrics @@ fun () ->
     (* Degraded states (evictions, corrupt recoveries, busy replies)
@@ -786,8 +786,6 @@ let serve_cmd =
         mem_capacity;
         queue_bound;
         fuel_cap;
-        telemetry = not no_telemetry;
-        coalesce = not no_coalesce;
       }
     in
     let peer_list =
@@ -851,11 +849,11 @@ let serve_cmd =
   in
   let queue_bound_arg =
     Arg.(
-      value & opt int 64
+      value & opt pos_int_conv 64
       & info [ "queue-bound" ] ~docv:"N"
           ~doc:
             "Maximum in-flight requests before newcomers get an explicit \
-             busy reply (exit 6 on the client).")
+             busy reply (exit 6 on the client). Must be positive.")
   in
   let fuel_cap_arg =
     Arg.(
@@ -865,15 +863,6 @@ let serve_cmd =
           ~doc:
             "Server-side ceiling on per-request simulation fuel; requests \
              asking for more are clamped.")
-  in
-  let no_telemetry_arg =
-    Arg.(
-      value & flag
-      & info [ "no-telemetry" ]
-          ~doc:
-            "Disable the in-process stats plane (latency histograms, \
-             rolling windows, events); $(b,gmtc remote stats) and \
-             $(b,gmtc top) then report counters only.")
   in
   let listen_arg =
     Arg.(
@@ -905,18 +894,11 @@ let serve_cmd =
   in
   let mem_capacity_arg =
     Arg.(
-      value & opt int 128
+      value & opt pos_int_conv 128
       & info [ "mem-capacity" ] ~docv:"N"
-          ~doc:"In-memory LRU bound of the artifact cache (entries).")
-  in
-  let no_coalesce_arg =
-    Arg.(
-      value & flag
-      & info [ "no-coalesce" ]
           ~doc:
-            "Disable single-flight coalescing of concurrent identical \
-             compile requests (on by default; the A/B the farm bench \
-             prices).")
+            "In-memory LRU bound of the artifact cache (entries). Must be \
+             positive.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -928,8 +910,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ listen_arg $ self_arg $ peers_arg
       $ mem_capacity_arg $ jobs_arg $ cache_dir_arg $ queue_bound_arg
-      $ fuel_cap_arg $ no_telemetry_arg $ no_coalesce_arg $ trace_arg
-      $ metrics_arg)
+      $ fuel_cap_arg $ trace_arg $ metrics_arg)
 
 (* ----------------------------- remote ----------------------------- *)
 
@@ -1186,7 +1167,7 @@ let render_stats ~socket j =
           | _ -> ())
         hs
     | _ -> ())
-  | _ -> pf "telemetry disabled\n");
+  | _ -> ());
   (match jmember "events" j with
   | Some (Json.Arr lines) when lines <> [] ->
     pf "events    (most recent last)\n";

@@ -77,7 +77,7 @@ let request t ~key req =
 let stats t =
   List.map
     (fun (shard : Router.shard) ->
-      (shard, Client.rpc ~socket:shard.endpoint Client.stats_request))
+      (shard, Client.stats ~socket:shard.endpoint))
     (Router.shards t.router)
 
 let ping t =

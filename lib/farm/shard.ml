@@ -43,8 +43,8 @@ type pusher = {
   m : Mutex.t;
   c : Condition.t;
   mutable stopping : bool;
-  c_pushed : Registry.counter option;
-  c_dropped : Registry.counter option;
+  c_pushed : Registry.counter;
+  c_dropped : Registry.counter;
   mutable dom : unit Domain.t option;
 }
 
@@ -68,7 +68,7 @@ let push p key entry =
       let encoded = Cache.encode_entry entry in
       match Client.rpc ~socket:ep (Client.put_request ~key ~entry:encoded ())
       with
-      | Ok _ -> ( match p.c_pushed with Some c -> Registry.incr c | None -> ())
+      | Ok _ -> Registry.incr p.c_pushed
       | Error _ ->
         Events.emit ~severity:Events.Warn ~kind:"farm.replication.failed"
           [ ("peer", Json.Str peer); ("key", Json.Str key) ]))
@@ -95,7 +95,7 @@ let enqueue p key entry =
   if p.stopping then Mutex.unlock p.m
   else if Queue.length p.q >= queue_bound then begin
     Mutex.unlock p.m;
-    (match p.c_dropped with Some c -> Registry.incr c | None -> ());
+    Registry.incr p.c_dropped;
     Events.emit ~severity:Events.Warn ~kind:"farm.replication.dropped"
       [ ("key", Json.Str key) ]
   end
@@ -122,12 +122,8 @@ let start (cfg : config) =
           m = Mutex.create ();
           c = Condition.create ();
           stopping = false;
-          c_pushed =
-            Option.map (fun r -> Registry.counter r "farm.replication.pushed")
-              reg;
-          c_dropped =
-            Option.map (fun r -> Registry.counter r "farm.replication.dropped")
-              reg;
+          c_pushed = Registry.counter reg "farm.replication.pushed";
+          c_dropped = Registry.counter reg "farm.replication.dropped";
           dom = None;
         }
       in

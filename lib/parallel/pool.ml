@@ -1,10 +1,8 @@
 (* Futures + determinism contract over the work-stealing runtime.
 
-   This module used to own a central mutex/condvar queue; that engine
-   now lives on as Gmt_exec.Central (benchmark baseline) and the
-   execution itself is delegated to Gmt_exec.Sched. Everything callers
-   could observe — inline jobs<=1 mode, error strings, submission-order
-   collection, exception/backtrace propagation — is unchanged. *)
+   Execution is delegated to Gmt_exec.Sched; this module adds the inline
+   jobs<=1 mode, the error strings, submission-order collection and
+   exception/backtrace propagation. *)
 
 type t = {
   n_workers : int;

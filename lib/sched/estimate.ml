@@ -19,5 +19,3 @@ let latency (i : Instr.t) =
 let dyn_cost profile cfg (i : Instr.t) =
   let block, _ = Cfg.position cfg i.id in
   latency i * max 1 (Gmt_analysis.Profile.block profile block)
-
-let comm_latency = 2

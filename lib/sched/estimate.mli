@@ -8,6 +8,3 @@ val latency : Instr.t -> int
 
 (** [dyn_cost profile cfg i] = latency × execution count of [i]'s block. *)
 val dyn_cost : Gmt_analysis.Profile.t -> Cfg.t -> Instr.t -> int
-
-(** Estimated cross-thread communication round cost (queue + issue). *)
-val comm_latency : int

@@ -279,3 +279,11 @@ let ping ~socket =
     match (Proto.bool_field j "ok", Proto.str_field j "version") with
     | Some true, Some v -> Ok v
     | _ -> Error (reply_error j))
+
+let stats ~socket =
+  match rpc ~socket stats_request with
+  | Error _ as e -> e
+  | Ok j -> (
+    match Proto.bool_field j "ok" with
+    | Some true -> Ok j
+    | _ -> Error (reply_error j))

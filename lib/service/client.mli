@@ -95,6 +95,11 @@ val request : socket:string -> req -> (Render.outcome, [> error ]) result
 (** Protocol version of the listening daemon. *)
 val ping : socket:string -> (string, [> error ]) result
 
+(** The daemon's [gmtd-stats/2] frame. A busy daemon answers [stats]
+    with its busy frame like any other request; that, and any other
+    [ok: false] frame, is an [Error] classified as for {!ping}. *)
+val stats : socket:string -> (Gmt_obs.Json.t, [> error ]) result
+
 (** Record that a remote call is falling back to offline compilation:
     emits a [client.fallback] warning event, bumps the
     [client.fallback] metrics counter, and returns the one-line stderr

@@ -18,8 +18,6 @@ type config = {
   mem_capacity : int;
   queue_bound : int;
   fuel_cap : int option;
-  telemetry : bool;
-  coalesce : bool;
 }
 
 let default_config ~socket =
@@ -31,8 +29,6 @@ let default_config ~socket =
     mem_capacity = 128;
     queue_bound = 64;
     fuel_cap = None;
-    telemetry = true;
-    coalesce = true;
   }
 
 (* Every instrument the request path touches, resolved once at startup —
@@ -189,10 +185,10 @@ type t = {
   pool : Pool.t;
   listen_fd : Unix.file_descr;
   tcp_fd : Unix.file_descr option;
-  flight : Render.outcome Singleflight.t option;
+  flight : Render.outcome Singleflight.t;
   stop_flag : bool Atomic.t;
   in_flight : int Atomic.t;
-  ins : instruments option;
+  ins : instruments;
   started : float;
   mutable accept_dom : unit Domain.t option;
 }
@@ -203,7 +199,7 @@ let references t =
   with_lock t.references (fun () -> Hashtbl.length t.references.table)
 
 let socket t = t.cfg.socket
-let registry t = Option.map (fun i -> i.reg) t.ins
+let registry t = t.ins.reg
 
 (* The bound TCP port — the bind-time one unless the config asked for an
    ephemeral port (0), in which case the kernel's pick. *)
@@ -357,7 +353,7 @@ let serve t { job; fuel } key payload =
     let reference =
       match references_find t.references key with
       | Some r when Render.applies ?fuel r ->
-        Option.iter (fun ins -> Registry.incr ins.c_reused) t.ins;
+        Registry.incr t.ins.c_reused;
         Some r
       | _ -> None
     in
@@ -370,8 +366,9 @@ let stats_json t =
   let ps = Pool.stats t.pool in
   (* Racy-but-safe live snapshot (Sched.stats); mirror it into the
      registry gauges so the prometheus/telemetry exposition sees it. *)
-  (match (t.ins, ps) with
-  | Some ins, Some st ->
+  let ins = t.ins in
+  (match ps with
+  | Some st ->
     let module S = Gmt_exec.Sched in
     Registry.set_gauge ins.g_pool_tasks st.S.tasks_run;
     Registry.set_gauge ins.g_pool_injected st.S.injected;
@@ -379,7 +376,7 @@ let stats_json t =
     Registry.set_gauge ins.g_pool_steal_ok st.S.steals_succeeded;
     Registry.set_gauge ins.g_pool_parks st.S.parks;
     Registry.set_gauge ins.g_pool_depth_peak st.S.deque_depth_peak
-  | _ -> ());
+  | None -> ());
   let now = Unix.gettimeofday () in
   let n name v = (name, Json.Num (float_of_int v)) in
   let pool_obj =
@@ -409,7 +406,7 @@ let stats_json t =
           n "deque_depth_peak" st.S.deque_depth_peak;
         ]
   in
-  let base =
+  Json.Obj
     [
       ("ok", Json.Bool true);
       ("version", Json.Str Proto.version);
@@ -427,19 +424,10 @@ let stats_json t =
             n "corrupt" s.Cache.corrupt;
           ] );
       ("pool", pool_obj);
+      ("telemetry", Registry.json ~now ins.reg);
+      ("prometheus", Json.Str (Registry.prometheus ~now ins.reg));
+      ("events", Json.Arr (List.map (fun l -> Json.Str l) (Events.recent ())));
     ]
-  in
-  let tele =
-    match t.ins with
-    | None -> [ ("telemetry", Json.Null) ]
-    | Some ins ->
-      [
-        ("telemetry", Registry.json ~now ins.reg);
-        ("prometheus", Json.Str (Registry.prometheus ~now ins.reg));
-        ("events", Json.Arr (List.map (fun l -> Json.Str l) (Events.recent ())));
-      ]
-  in
-  Json.Obj (base @ tele)
 
 (* Post-compile accounting: one histogram record per request and per
    collected stage span, plus hit/miss/timeout counters and windows.
@@ -496,20 +484,16 @@ let handle_request t j payload =
         | Error reason -> error_json ("gmtd: put rejected: " ^ reason)
         | Ok e ->
           let ingested = Cache.ingest t.cache key e in
-          (match t.ins with
-          | Some ins when ingested -> Registry.incr ins.c_repl_ingested
-          | _ -> ());
+          if ingested then Registry.incr t.ins.c_repl_ingested;
           Json.Obj [ ("ok", Json.Bool true); ("ingested", Json.Bool ingested) ]
       ))
   | Some (("run" | "check" | "sweep") as name) ->
     let trace_id = Proto.str_field j "trace_id" in
     let t0 = Unix.gettimeofday () in
-    (match t.ins with
-    | Some ins ->
-      Registry.set_gauge ins.g_in_flight (Atomic.get t.in_flight);
-      Rolling.add ins.w_in_flight_peak ~now:t0 (Atomic.get t.in_flight);
-      if trace_id <> None then Registry.incr ins.c_traced
-    | None -> ());
+    let ins = t.ins in
+    Registry.set_gauge ins.g_in_flight (Atomic.get t.in_flight);
+    Rolling.add ins.w_in_flight_peak ~now:t0 (Atomic.get t.in_flight);
+    if trace_id <> None then Registry.incr ins.c_traced;
     let serve_args =
       match trace_id with
       | Some id -> [ ("trace_id", Obs.S id) ]
@@ -526,60 +510,45 @@ let handle_request t j payload =
       | Error o -> (o, `Led)
       | Ok r -> (
         let key, flight = keys r payload in
-        let serve () = serve t r key payload in
-        match t.flight with
-        | None -> (serve (), `Led)
-        | Some sf -> Singleflight.run sf flight serve)
+        Singleflight.run t.flight flight (fun () -> serve t r key payload))
     in
-    (* Collect the request's span tree when either consumer wants it:
-       the stage histograms (telemetry on) or a traced client. Only
-       [Render.sweep] can fan out, and [serve] calls it with [~jobs:1],
-       so every inner span completes on this domain and lands in the
-       collector. *)
+    (* Collect the request's span tree, which feeds the stage histograms
+       and, for a traced client, the reply. Only [Render.sweep] can fan
+       out, and [serve] calls it with [~jobs:1], so every inner span
+       completes on this domain and lands in the collector. *)
     let ((o, role), reply), spans =
-      if t.ins <> None || trace_id <> None then
-        Obs.collect (fun () ->
-            let res =
-              Obs.span ~cat:"service" ~args:serve_args ("serve." ^ name)
-                (fun () -> compiled ())
-            in
-            let reply =
-              Obs.span ~cat:"stage" "req.encode" (fun () ->
-                  outcome_json (fst res))
-            in
-            (res, reply))
-      else
-        let res =
-          Obs.span ~cat:"service" ("serve." ^ name) (fun () -> compiled ())
-        in
-        ((res, outcome_json (fst res)), [])
+      Obs.collect (fun () ->
+          let res =
+            Obs.span ~cat:"service" ~args:serve_args ("serve." ^ name)
+              (fun () -> compiled ())
+          in
+          let reply =
+            Obs.span ~cat:"stage" "req.encode" (fun () ->
+                outcome_json (fst res))
+          in
+          (res, reply))
     in
     let now = Unix.gettimeofday () in
-    (match t.ins with
-    | Some ins ->
-      (* The lead/wait split is a coalescing metric, so it counts only
-         coalescing-relevant flights: a lead that was served from the
-         cache is an ordinary hit (nothing was deduplicated), and with
-         the flight table disabled every request trivially "leads" —
-         neither may inflate the counters. What remains makes
-         [waits / (leads + waits)] exactly the share of duplicate
-         concurrent misses collapsed into an already-running compile. *)
-      if t.flight <> None then (
-        match role with
-        | `Led ->
-          if o.Render.cache_status = "miss" then Registry.incr ins.c_sf_leads
-        | `Joined -> Registry.incr ins.c_sf_waits);
-      (* A waiter shares the leader's outcome verbatim, so its
-         cache_status reflects the leader's cache probe, not one of its
-         own — counting it would log N misses for one compile and drift
-         from [Cache.stats]. The wait itself is already counted above. *)
-      let o_acct =
-        match role with
-        | `Joined -> { o with Render.cache_status = "none" }
-        | `Led -> o
-      in
-      account ins ~name ~t0 ~now o_acct spans
-    | None -> ());
+    (* The lead/wait split is a coalescing metric, so it counts only
+       coalescing-relevant flights: a lead that was served from the
+       cache is an ordinary hit (nothing was deduplicated) and must not
+       inflate the counters. What remains makes
+       [waits / (leads + waits)] exactly the share of duplicate
+       concurrent misses collapsed into an already-running compile. *)
+    (match role with
+    | `Led ->
+      if o.Render.cache_status = "miss" then Registry.incr ins.c_sf_leads
+    | `Joined -> Registry.incr ins.c_sf_waits);
+    (* A waiter shares the leader's outcome verbatim, so its cache_status
+       reflects the leader's cache probe, not one of its own — counting
+       it would log N misses for one compile and drift from
+       [Cache.stats]. The wait itself is already counted above. *)
+    let o_acct =
+      match role with
+      | `Joined -> { o with Render.cache_status = "none" }
+      | `Led -> o
+    in
+    account ins ~name ~t0 ~now o_acct spans;
     (match (trace_id, reply) with
     | Some id, Json.Obj fields ->
       Json.Obj
@@ -604,18 +573,16 @@ let handle_conn t fd =
     match Proto.read_frame fd with
     | Error `Eof -> ()
     | Error (`Malformed msg) ->
-      if t.ins <> None then
-        Events.emit ~severity:Events.Warn ~kind:"server.malformed"
-          [ ("err", Json.Str msg) ];
+      Events.emit ~severity:Events.Warn ~kind:"server.malformed"
+        [ ("err", Json.Str msg) ];
       send fd (error_json ("gmtd: " ^ msg))
     | Ok (j, payload) ->
       let reply =
         try handle_request t j payload
         with e ->
           let msg = Printexc.to_string e in
-          if t.ins <> None then
-            Events.emit ~severity:Events.Error ~kind:"server.internal_error"
-              [ ("err", Json.Str msg) ];
+          Events.emit ~severity:Events.Error ~kind:"server.internal_error"
+            [ ("err", Json.Str msg) ];
           error_json ("gmtd: internal error: " ^ msg)
       in
       send fd reply;
@@ -636,16 +603,13 @@ let accept_one t lfd =
     else if Atomic.fetch_and_add t.in_flight 1 >= t.cfg.queue_bound then begin
       (* Over the bound: an explicit busy reply, never a hang. *)
       Atomic.decr t.in_flight;
-      (match t.ins with
-      | Some ins ->
-        Registry.incr ins.c_busy;
-        Rolling.add ins.w_busy ~now:(Unix.gettimeofday ()) 1;
-        Events.emit ~severity:Events.Warn ~kind:"server.busy"
-          [
-            ("in_flight", Json.Num (float_of_int (Atomic.get t.in_flight)));
-            ("queue_bound", Json.Num (float_of_int t.cfg.queue_bound));
-          ]
-      | None -> ());
+      Registry.incr t.ins.c_busy;
+      Rolling.add t.ins.w_busy ~now:(Unix.gettimeofday ()) 1;
+      Events.emit ~severity:Events.Warn ~kind:"server.busy"
+        [
+          ("in_flight", Json.Num (float_of_int (Atomic.get t.in_flight)));
+          ("queue_bound", Json.Num (float_of_int t.cfg.queue_bound));
+        ];
       send fd busy_json;
       try Unix.close fd with _ -> ()
     end
@@ -656,10 +620,7 @@ let accept_one t lfd =
                ~finally:(fun () ->
                  (try Unix.close fd with _ -> ());
                  Atomic.decr t.in_flight;
-                 match t.ins with
-                 | Some ins ->
-                   Registry.set_gauge ins.g_in_flight (Atomic.get t.in_flight)
-                 | None -> ())
+                 Registry.set_gauge t.ins.g_in_flight (Atomic.get t.in_flight))
                (fun () -> handle_conn t fd)))
 
 let accept_loop t =
@@ -740,7 +701,6 @@ let start cfg =
          raise e);
       Some fd
   in
-  let ins = if cfg.telemetry then Some (make_instruments ()) else None in
   let t =
     {
       cfg;
@@ -749,27 +709,26 @@ let start cfg =
       pool;
       listen_fd;
       tcp_fd;
-      flight = (if cfg.coalesce then Some (Singleflight.create ()) else None);
+      flight = Singleflight.create ();
       stop_flag = Atomic.make false;
       in_flight = Atomic.make 0;
-      ins;
+      ins = make_instruments ();
       started = Unix.gettimeofday ();
       accept_dom = None;
     }
   in
-  if cfg.telemetry then
-    Events.emit ~kind:"server.start"
-      [
-        ("socket", Json.Str cfg.socket);
-        ( "listen",
-          match cfg.tcp with
-          | None -> Json.Null
-          | Some (h, _) -> (
-            match tcp_port t with
-            | Some p -> Json.Str (Printf.sprintf "%s:%d" h p)
-            | None -> Json.Null) );
-        ("jobs", Json.Num (float_of_int cfg.jobs));
-      ];
+  Events.emit ~kind:"server.start"
+    [
+      ("socket", Json.Str cfg.socket);
+      ( "listen",
+        match cfg.tcp with
+        | None -> Json.Null
+        | Some (h, _) -> (
+          match tcp_port t with
+          | Some p -> Json.Str (Printf.sprintf "%s:%d" h p)
+          | None -> Json.Null) );
+      ("jobs", Json.Num (float_of_int cfg.jobs));
+    ];
   t.accept_dom <- Some (Domain.spawn (fun () -> accept_loop t));
   t
 
@@ -778,14 +737,13 @@ let request_stop t = Atomic.set t.stop_flag true
 let join t =
   (match t.accept_dom with
   | Some d ->
-    if t.ins <> None then
-      Events.emit ~kind:"server.drain"
-        [ ("in_flight", Json.Num (float_of_int (Atomic.get t.in_flight))) ];
+    Events.emit ~kind:"server.drain"
+      [ ("in_flight", Json.Num (float_of_int (Atomic.get t.in_flight))) ];
     Domain.join d;
     t.accept_dom <- None
   | None -> ());
   Pool.shutdown t.pool;
-  if t.ins <> None then Events.emit ~kind:"server.stop" []
+  Events.emit ~kind:"server.stop" []
 
 let stop t =
   request_stop t;

@@ -11,7 +11,10 @@
     All workers share one {!Gmt_cache.Cache.t}, so a kernel compiled for
     one client is a cache hit for every later client (and for the
     daemon's own re-verification: cached artifacts carry their
-    translation-validation verdict).
+    translation-validation verdict). Concurrent compile requests with
+    one flight key run the compile once and share its outcome
+    ({!Singleflight}), and every request is counted and timed in the
+    daemon's stats plane ({!registry}).
 
     Responses are rendered by the same {!Render} functions offline
     [gmtc] prints through, which makes served bytes identical to offline
@@ -35,21 +38,10 @@ type config = {
   fuel_cap : int option;
       (** server-side ceiling on per-request simulation fuel; a request's
           own fuel is clamped to this *)
-  telemetry : bool;
-      (** maintain the in-process stats plane (latency histograms,
-          rolling windows, events) and per-stage span aggregation; off
-          turns every instrument into a no-op — the A/B the bench
-          harness uses to price the plane *)
-  coalesce : bool;
-      (** single-flight request coalescing: concurrent compile requests
-          with identical (op, parameters, program) run the compile once
-          and share the outcome; the [`Led]/[`Joined] split shows up as
-          the [farm.singleflight.leads]/[farm.singleflight.waits]
-          counters *)
 }
 
 (** [jobs = Pool.default_jobs ()], no TCP listener, no disk store,
-    capacity 128, bound 64, no fuel cap, telemetry on, coalescing on. *)
+    capacity 128, bound 64, no fuel cap. *)
 val default_config : socket:string -> config
 
 type t
@@ -78,10 +70,11 @@ val socket : t -> string
     kernel's pick, the one to advertise to clients. *)
 val tcp_port : t -> int option
 
-(** The live telemetry registry, [None] when [telemetry = false]. The
-    [stats] op renders exactly this registry; in-process consumers (the
-    bench harness, tests) can read it without a socket round-trip. *)
-val registry : t -> Gmt_telemetry.Registry.t option
+(** The live telemetry registry: request counters, rolling windows,
+    per-op latency and per-stage histograms. The [stats] op renders
+    exactly this registry; in-process consumers (the farm shard, tests)
+    can read it without a socket round-trip. *)
+val registry : t -> Gmt_telemetry.Registry.t
 
 (** [request_keys j payload] — the keys the daemon derives for a [run],
     [check] or [sweep] request document [j] carrying the GMT-IR

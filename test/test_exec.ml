@@ -8,7 +8,6 @@
 module Deque = Gmt_exec.Deque
 module Injector = Gmt_exec.Injector
 module Sched = Gmt_exec.Sched
-module Central = Gmt_exec.Central
 module Pool = Gmt_parallel.Pool
 
 let check = Alcotest.check
@@ -263,22 +262,6 @@ let test_pool_stats () =
     check Alcotest.int "tasks_run" 64 st.Sched.tasks_run;
     check Alcotest.int "workers" 2 st.Sched.workers
 
-(* ------- central baseline sanity ------- *)
-
-let test_central_baseline () =
-  let c = Central.create ~workers:2 in
-  let hits = Atomic.make 0 in
-  for _ = 1 to 200 do
-    Central.submit c (fun () -> Atomic.incr hits)
-  done;
-  Central.shutdown c;
-  Central.shutdown c;
-  check Alcotest.int "baseline runs everything" 200 (Atomic.get hits);
-  check Alcotest.bool "submit after shutdown rejected" true
-    (match Central.submit c ignore with
-    | () -> false
-    | exception Invalid_argument _ -> true)
-
 let tests =
   [
     Alcotest.test_case "deque owner LIFO" `Quick test_owner_lifo;
@@ -300,5 +283,4 @@ let tests =
       test_pool_singleton_validates_jobs_first;
     Alcotest.test_case "pool stats surface scheduler counters" `Quick
       test_pool_stats;
-    Alcotest.test_case "central baseline sanity" `Quick test_central_baseline;
   ]

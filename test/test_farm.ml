@@ -5,7 +5,8 @@
    dribble and mid-reply connection loss (retry exactly once, never a
    silent double compile), concurrent misses on one fingerprint coalesce
    into a single compile, and a killed shard's keys are served warm by
-   its ring successor thanks to cache replication. *)
+   its ring successor thanks to cache replication, whether the router
+   reaches the shards over Unix sockets or TCP. *)
 
 module Ring = Gmt_farm.Ring
 module Router = Gmt_farm.Router
@@ -591,11 +592,7 @@ let test_server_coalescing () =
       (fun i o -> check_outcome (Printf.sprintf "reply %d" (i + 1)) first o)
       rest
   | [] -> assert false);
-  let reg =
-    match Server.registry srv with
-    | Some r -> r
-    | None -> Alcotest.fail "telemetry on but no registry"
-  in
+  let reg = Server.registry srv in
   Alcotest.(check int) "one singleflight lead" 1
     (counter_value reg "farm.singleflight.leads");
   Alcotest.(check int) "m-1 singleflight waits" (m - 1)
@@ -611,32 +608,6 @@ let test_server_coalescing () =
     warm.Render.cache_status;
   Alcotest.(check int) "no second lead" 1
     (counter_value reg "farm.singleflight.leads")
-
-(* --no-coalesce (coalesce = false): same bytes, no flight counters. *)
-let test_coalescing_off () =
-  let gmt = Text.print (Suite.find "ks") in
-  let cfg =
-    {
-      (Server.default_config ~socket:(fresh_socket ())) with
-      Server.jobs = 2;
-      coalesce = false;
-    }
-  in
-  let srv = Server.start cfg in
-  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
-  let req =
-    Client.check_request ~gmt ~technique:"dswp" ~coco:false ~threads:2 ()
-  in
-  let offline =
-    Render.check ~technique:V.Dswp ~coco:false ~threads:2 (Suite.find "ks")
-  in
-  check_outcome "uncoalesced reply" offline
-    (request_ok ~socket:(Server.socket srv) req);
-  match Server.registry srv with
-  | Some reg ->
-    Alcotest.(check int) "no lead counted" 0
-      (counter_value reg "farm.singleflight.leads")
-  | None -> Alcotest.fail "no registry"
 
 (* -------------------- replication cache intake --------------------- *)
 
@@ -685,11 +656,14 @@ let test_ingest_semantics () =
 
 (* ------------------ farm failover + replication -------------------- *)
 
-(* The tentpole, end to end over Unix sockets: two shards, a compile
-   routed to its ring owner, the artifact replicated to the successor,
-   the owner killed — and the same request served warm by the survivor,
-   byte-identical. *)
-let test_farm_failover_serves_replica () =
+(* The tentpole, end to end: two shards, a compile routed to its ring
+   owner, the artifact replicated to the successor, the owner killed —
+   and the same request served warm by the survivor, byte-identical.
+   The router reaches the shards over [transport]: their Unix sockets,
+   or TCP listeners on ephemeral loopback ports. Replication pushes ride
+   the Unix sockets either way, as their paths are known before the
+   ports are. *)
+let test_farm_failover_serves_replica transport () =
   let w = Suite.find "ks" in
   let gmt = Text.print w in
   let offline =
@@ -697,11 +671,14 @@ let test_farm_failover_serves_replica () =
   in
   let sock_a = fresh_socket () and sock_b = fresh_socket () in
   let peers = [ ("a", sock_a); ("b", sock_b) ] in
+  let tcp =
+    match transport with `Unix -> None | `Tcp -> Some ("127.0.0.1", 0)
+  in
   let shard self socket =
     Shard.start
       {
         Shard.server =
-          { (Server.default_config ~socket) with Server.jobs = 2 };
+          { (Server.default_config ~socket) with Server.jobs = 2; tcp };
         self;
         peers;
       }
@@ -715,11 +692,17 @@ let test_farm_failover_serves_replica () =
           if not (List.mem name !stopped) then Shard.stop s)
         [ ("a", sa); ("b", sb) ])
   @@ fun () ->
+  let endpoint s socket =
+    match (transport, Server.tcp_port (Shard.server s)) with
+    | `Unix, _ -> socket
+    | `Tcp, Some port -> Printf.sprintf "127.0.0.1:%d" port
+    | `Tcp, None -> Alcotest.fail "shard has no TCP listener"
+  in
   let farm =
     Farm.create ~cooldown:0.2
       [
-        { Router.name = "a"; endpoint = sock_a };
-        { Router.name = "b"; endpoint = sock_b };
+        { Router.name = "a"; endpoint = endpoint sa sock_a };
+        { Router.name = "b"; endpoint = endpoint sb sock_b };
       ]
   in
   let key =
@@ -750,11 +733,10 @@ let test_farm_failover_serves_replica () =
   done;
   Alcotest.(check bool) "artifact replicated to the successor" true
     (Cache.find survivor_cache key <> None);
-  (match Server.registry (Shard.server survivor_shard) with
-  | Some reg ->
-    Alcotest.(check int) "successor counted the ingest" 1
-      (counter_value reg "farm.replication.ingested")
-  | None -> Alcotest.fail "no survivor registry");
+  Alcotest.(check int) "successor counted the ingest" 1
+    (counter_value
+       (Server.registry (Shard.server survivor_shard))
+       "farm.replication.ingested");
   (* Kill the owner; the same request fails over and is served WARM
      from the replica — the whole point of the push. *)
   Shard.stop owner_shard;
@@ -811,10 +793,11 @@ let tests =
       test_singleflight_exception;
     Alcotest.test_case "server coalesces concurrent misses" `Quick
       test_server_coalescing;
-    Alcotest.test_case "coalescing off" `Quick test_coalescing_off;
     Alcotest.test_case "replication ingest semantics" `Quick
       test_ingest_semantics;
     Alcotest.test_case "failover serves the replica" `Quick
-      test_farm_failover_serves_replica;
+      (test_farm_failover_serves_replica `Unix);
+    Alcotest.test_case "failover serves the replica over TCP" `Quick
+      (test_farm_failover_serves_replica `Tcp);
     Alcotest.test_case "no shard reachable" `Quick test_farm_no_shard;
   ]

@@ -177,16 +177,26 @@ let test_corrupt_entry_recompiled () =
 
 let test_busy_reply () =
   with_server ~queue_bound:0 @@ fun srv ->
+  let socket = Server.socket srv in
   let gmt = Text.print (workload "ks") in
   let req = Client.run_request ~gmt ~technique:"gremio" ~coco:false ~threads:2 () in
-  match Client.request ~socket:(Server.socket srv) req with
+  (match Client.request ~socket req with
   | Error (`Busy msg) ->
     Alcotest.(check bool) "busy names itself" true
       (String.length msg > 0
       && String.sub msg 0 10 = "gmtd: busy")
   | Ok _ -> Alcotest.fail "expected busy, got an answer"
   | Error `No_daemon -> Alcotest.fail "expected busy, got No_daemon"
-  | Error (`Protocol m) -> Alcotest.failf "expected busy, got protocol: %s" m
+  | Error (`Protocol m) -> Alcotest.failf "expected busy, got protocol: %s" m);
+  (* The bound applies at accept, before the op is read, so a stats
+     request is shed too: it must read as busy, not as an idle daemon's
+     frame. *)
+  match Client.stats ~socket with
+  | Error (`Busy _) -> ()
+  | Ok _ -> Alcotest.fail "stats: expected busy, got a stats frame"
+  | Error `No_daemon -> Alcotest.fail "stats: expected busy, got No_daemon"
+  | Error (`Protocol m) ->
+    Alcotest.failf "stats: expected busy, got protocol: %s" m
 
 (* Busy semantics under real concurrent load, on the work-stealing
    dispatch path (jobs >= 2): with queue_bound 1, four client domains
@@ -573,14 +583,10 @@ let test_stats2_frame () =
       [ "p50"; "p90"; "p99"; "mean" ]
   | None -> Alcotest.fail "no latency.run histogram");
   (* In-process view agrees with the wire view. *)
-  (match Server.registry srv with
-  | Some reg ->
-    (match Registry.find_histogram reg "latency.run" with
-    | Some h ->
-      Alcotest.(check int) "registry count" 2
-        (Gmt_telemetry.Histogram.count h)
-    | None -> Alcotest.fail "registry lacks latency.run")
-  | None -> Alcotest.fail "telemetry on but no registry");
+  (match Registry.find_histogram (Server.registry srv) "latency.run" with
+  | Some h ->
+    Alcotest.(check int) "registry count" 2 (Gmt_telemetry.Histogram.count h)
+  | None -> Alcotest.fail "registry lacks latency.run");
   match Json.member "prometheus" j with
   | Some (Json.Str text) ->
     Alcotest.(check bool) "prometheus non-empty" true (String.length text > 0);
@@ -592,36 +598,6 @@ let test_stats2_frame () =
             (String.length l > 4 && String.sub l 0 4 = "gmt_"))
       (String.split_on_char '\n' text)
   | _ -> Alcotest.fail "no prometheus text"
-
-(* telemetry = false: no registry, stats degrades to counters, compile
-   replies stay identical. *)
-let test_telemetry_off () =
-  let w = workload "ks" in
-  let offline = Render.run ~technique:V.Gremio ~coco:false ~threads:2 w in
-  let cfg =
-    {
-      (Server.default_config ~socket:(fresh_socket ())) with
-      Server.jobs = 2;
-      telemetry = false;
-    }
-  in
-  let srv = Server.start cfg in
-  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
-  let socket = Server.socket srv in
-  Alcotest.(check bool) "no registry" true (Server.registry srv = None);
-  let gmt = Text.print w in
-  let o =
-    request_ok ~socket
-      (Client.run_request ~gmt ~technique:"gremio" ~coco:false ~threads:2 ())
-  in
-  check_outcome "telemetry-off reply" offline o;
-  match Client.rpc ~socket Client.stats_request with
-  | Ok j ->
-    Alcotest.(check bool) "telemetry null" true
-      (Json.member "telemetry" j = Some Json.Null);
-    Alcotest.(check bool) "no prometheus" true
-      (Json.member "prometheus" j = None)
-  | Error _ -> Alcotest.fail "stats rpc failed"
 
 (* -------------------------- warm-run contract ---------------------- *)
 
@@ -661,9 +637,7 @@ let test_warm_run_contract () =
       (Client.check_request ~gmt ~technique ~coco ~threads:2 ())
   in
   let counter name =
-    match
-      Option.bind (Server.registry srv) (fun r -> Registry.find_counter r name)
-    with
+    match Registry.find_counter (Server.registry srv) name with
     | Some c -> Registry.counter_value c
     | None -> Alcotest.failf "no counter %s" name
   in
@@ -870,6 +844,5 @@ let tests =
     Alcotest.test_case "threads 0 rejected" `Quick test_threads_zero;
     Alcotest.test_case "request keys" `Quick test_request_keys;
     Alcotest.test_case "stats/2 frame" `Quick test_stats2_frame;
-    Alcotest.test_case "telemetry off" `Quick test_telemetry_off;
     Alcotest.test_case "ping" `Quick test_ping;
   ]
