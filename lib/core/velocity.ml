@@ -307,17 +307,32 @@ let measure_reference ?fuel (w : Workload.t) =
    the digest allocates nothing proportional to the image. *)
 let digest_chunk = 512
 
+(* Most of a final image is untouched memory, so a full all-zero chunk
+   reuses this digest instead of being encoded and hashed again. Built
+   at module initialisation, not on first use: two domains forcing one
+   [Lazy] at once raise. *)
+let zero_chunk_digest = Digest.bytes (Bytes.make (8 * digest_chunk) '\000')
+
 let memory_digest (memory : int array) =
   let n = Array.length memory in
   let buf = Bytes.create (8 * digest_chunk) in
   let sums = Bytes.create (16 * ((n + digest_chunk - 1) / digest_chunk)) in
+  let rec zero_from i stop =
+    i >= stop || (memory.(i) = 0 && zero_from (i + 1) stop)
+  in
   let rec chunk i k =
     if i < n then begin
       let len = min digest_chunk (n - i) in
-      for j = 0 to len - 1 do
-        Bytes.set_int64_le buf (8 * j) (Int64.of_int memory.(i + j))
-      done;
-      Bytes.blit_string (Digest.subbytes buf 0 (8 * len)) 0 sums (16 * k) 16;
+      let d =
+        if len = digest_chunk && zero_from i (i + len) then zero_chunk_digest
+        else begin
+          for j = 0 to len - 1 do
+            Bytes.set_int64_le buf (8 * j) (Int64.of_int memory.(i + j))
+          done;
+          Digest.subbytes buf 0 (8 * len)
+        end
+      in
+      Bytes.blit_string d 0 sums (16 * k) 16;
       chunk (i + len) (k + 1)
     end
   in

@@ -180,9 +180,10 @@ val measure_reference :
   Workload.t ->
   metrics * (int array * int)
 
-(** MD5 of a final memory image, taken over fixed 4 KB chunks and then
-    over the chunk digests, so it allocates nothing proportional to the
-    image. Equal images have equal digests. *)
+(** MD5 of a final memory image, taken over fixed 4 KB chunks (512
+    words, little-endian 64-bit) and then over the chunk digests, so it
+    allocates nothing proportional to the image. An all-zero full chunk
+    reuses one digest computed once. Equal images have equal digests. *)
 val memory_digest : int array -> string
 
 (** What a multi-threaded cell's final memory is checked against: the

@@ -8,7 +8,7 @@ type t
 val create : size:int -> assoc:int -> line:int -> t
 
 (** [access t ~addr] — [true] on hit. Misses allocate the line (LRU
-    eviction). [addr] is a byte address. *)
+    eviction). [addr] is a non-negative byte address. *)
 val access : t -> addr:int -> bool
 
 (** [probe t ~addr] — hit test without state change. *)

@@ -14,14 +14,19 @@
     semantics; [produce.sync] has release semantics for free because issue
     is in order and stores commit at issue).
 
-    This is the one engine that executes a measured program: the issue
-    loop compiles each decoded instruction once into an OCaml closure
-    fusing the issue guards with the operand fetch/writeback (see
-    {!Jit}) and fast-forwards provably frozen all-idle stretches in
-    bulk. {!Legacy.run} is the list-walking original it must reproduce
-    byte for byte — [cycles], [stall_attr], [queue_peak], per-core
-    stats, memory, deadlock verdicts — which QCheck properties in
-    [test_simkernel] enforce; tests and the bench harness call it
+    This is the one engine that executes a measured program. Each
+    decoded instruction is compiled once into an OCaml closure fusing
+    the issue guards with the operand fetch/writeback (see {!Jit}), and
+    the issue loop fast-forwards provably frozen all-idle stretches in
+    bulk. The loop is specialized by core count: one core (the
+    single-threaded references), two cores (the paper's dual-core CMP,
+    which every multi-threaded cell of the evaluation simulates), and a
+    generic loop for three or more; all three step the same per-core
+    cycle and are cycle-for-cycle identical. {!Legacy.run} is the
+    list-walking original it must reproduce byte for byte — [cycles],
+    [stall_attr], [queue_peak], per-core stats, memory, deadlock
+    verdicts — which QCheck properties in [test_simkernel] enforce at
+    two and three cores; tests and the bench harness call it
     directly. *)
 
 open Gmt_ir
@@ -89,7 +94,10 @@ val default_fuel : int
     simulated cycles: a run that reaches it stops mid-flight with
     [fuel_exhausted] set and partial memory, counts and cycles. A run
     that completes under some fuel completes identically under any
-    larger fuel. *)
+    larger fuel.
+    @raise Invalid_argument if [mem_size] is not a power of two, [p]
+    has more threads than [mc] has cores, or [mc.issue_width] exceeds
+    255. *)
 val run :
   ?fuel:int ->
   ?init_regs:(Reg.t * int) list ->

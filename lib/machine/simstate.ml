@@ -28,6 +28,14 @@ let stat_ports = 3
    not yet been produced. *)
 let pending_mark = max_int / 2
 
+(* [core.k_slots] layout: an 8-bit field per structural class, issued
+   count on top. A class count never exceeds the issued count, which the
+   issue loops stop at [issue_width], so an issue width up to
+   [max_issue_width] keeps every field inside its byte. *)
+let slot_shift cls = 8 * cls
+let issued_shift = 32
+let max_issue_width = 255
+
 (* One synchronization-array queue: a fixed ring of produced entries
    (bounded by the queue capacity — the produce guard never lets
    [logical_occupancy] reach past it) plus a growable ring of consumers
@@ -60,53 +68,6 @@ let make_queue ~capacity =
     logical_occupancy = 0;
   }
 
-let entry_push qs ~value ~ready =
-  let cap = Array.length qs.entry_value in
-  let tail = qs.e_head + qs.e_len in
-  let tail = if tail >= cap then tail - cap else tail in
-  qs.entry_value.(tail) <- value;
-  qs.entry_ready.(tail) <- ready;
-  qs.e_len <- qs.e_len + 1
-
-let entry_head_value qs = qs.entry_value.(qs.e_head)
-let entry_head_ready qs = qs.entry_ready.(qs.e_head)
-
-let entry_drop qs =
-  let h = qs.e_head + 1 in
-  qs.e_head <- (if h >= Array.length qs.entry_value then 0 else h);
-  qs.e_len <- qs.e_len - 1
-
-let waiter_push qs ~core ~dst =
-  let cap = Array.length qs.waiter_core in
-  if qs.w_len = cap then begin
-    (* Grow by doubling; waiters are bounded by cores x registers, so
-       growth is rare and amortizes to nothing. *)
-    let wc = Array.make (2 * cap) 0 and wd = Array.make (2 * cap) 0 in
-    for k = 0 to qs.w_len - 1 do
-      let i = qs.w_head + k in
-      let i = if i >= cap then i - cap else i in
-      wc.(k) <- qs.waiter_core.(i);
-      wd.(k) <- qs.waiter_dst.(i)
-    done;
-    qs.waiter_core <- wc;
-    qs.waiter_dst <- wd;
-    qs.w_head <- 0
-  end;
-  let cap = Array.length qs.waiter_core in
-  let tail = qs.w_head + qs.w_len in
-  let tail = if tail >= cap then tail - cap else tail in
-  qs.waiter_core.(tail) <- core;
-  qs.waiter_dst.(tail) <- dst;
-  qs.w_len <- qs.w_len + 1
-
-let waiter_head_core qs = qs.waiter_core.(qs.w_head)
-let waiter_head_dst qs = qs.waiter_dst.(qs.w_head)
-
-let waiter_drop qs =
-  let h = qs.w_head + 1 in
-  qs.w_head <- (if h >= Array.length qs.waiter_core then 0 else h);
-  qs.w_len <- qs.w_len - 1
-
 (* FIFO-order iteration, oldest waiter first (deadlock reporting). *)
 let waiter_iter f qs =
   let cap = Array.length qs.waiter_core in
@@ -128,11 +89,13 @@ type core = {
   (* acquire-fence state *)
   mutable outstanding_syncs : int;
   mutable fence_ready : int;
-  (* jit kernel per-cycle issue-group scratch: per-class slots consumed
-     (indexed Calu=0, Cfp=1, Cmem=2, Cbr=3, Cnone=4) and instructions
-     issued this cycle. Preallocated once; reset by the step function. *)
-  k_cnt : int array;
-  mutable k_issued : int;
+  (* jit kernel per-cycle issue-group scratch, one word: an 8-bit count
+     of the slots each structural class used this cycle (Calu, Cfp, Cmem,
+     Cbr from the low byte up; see [slot_shift]) and the instructions
+     issued this cycle above them from bit [issued_shift]. The issue
+     loops reset it with one store; an issuing closure checks its class
+     and bumps both counts with one add. *)
+  mutable k_slots : int;
   (* jit idle fast-forward metadata, written by a blocking closure: the
      first cycle at which re-evaluating its guard could change outcome
      ([max_int] = only another core's progress can unblock it), and the
@@ -145,7 +108,7 @@ type core = {
      issued this cycle, and [replay_bucket] the bucket that block
      charged. While the stamp is unchanged no produce was delivered and
      no queue drained anywhere, so re-running the guard would repeat the
-     same charge; [Sim.step_core_jit] replays it without the call. *)
+     same charge; [Sim.run]'s issue loops replay it without the call. *)
   mutable frozen_stamp : int;
   mutable replay_bucket : int;
   (* stats *)
@@ -202,8 +165,7 @@ let make (mc : Config.t) (p : Mtprog.t) ~init_regs ~init_mem ~mem_size =
              ~line:mc.Config.l2_line;
       outstanding_syncs = 0;
       fence_ready = 0;
-      k_cnt = Array.make 5 0;
-      k_issued = 0;
+      k_slots = 0;
       wake = max_int;
       blocked_stat = stat_none;
       frozen_stamp = -1;
@@ -237,55 +199,3 @@ let make (mc : Config.t) (p : Mtprog.t) ~init_regs ~init_mem ~mem_size =
     sa_ports_left = 0;
     stamp = 0;
   }
-
-(* Deliver a produced value: to a waiting consumer if any, else enqueue. *)
-let produce_to st q value =
-  st.stamp <- st.stamp + 1;
-  let qs = st.queues.(q) in
-  if qs.w_len > 0 then begin
-    let ready = st.now + st.mc.Config.sa_latency in
-    let c = st.cores.(waiter_head_core qs) in
-    let dst = waiter_head_dst qs in
-    waiter_drop qs;
-    if dst >= 0 then begin
-      c.regs.(dst) <- value;
-      c.reg_ready.(dst) <- ready
-    end
-    else begin
-      c.outstanding_syncs <- c.outstanding_syncs - 1;
-      if ready > c.fence_ready then c.fence_ready <- ready
-    end
-  end
-  else begin
-    entry_push qs ~value ~ready:(st.now + st.mc.Config.sa_latency);
-    qs.logical_occupancy <- qs.logical_occupancy + 1;
-    if qs.logical_occupancy > st.queue_peak.(q) then
-      st.queue_peak.(q) <- qs.logical_occupancy
-  end
-
-let cache_load st core addr =
-  let mc = st.mc in
-  let byte_addr = addr * mc.Config.word_bytes in
-  core.s_loads <- core.s_loads + 1;
-  if Cache.access core.l1 ~addr:byte_addr then begin
-    core.s_l1 <- core.s_l1 + 1;
-    mc.Config.l1_latency
-  end
-  else if Cache.access core.l2 ~addr:byte_addr then begin
-    core.s_l2 <- core.s_l2 + 1;
-    mc.Config.l2_latency
-  end
-  else if Cache.access st.l3 ~addr:byte_addr then begin
-    core.s_l3 <- core.s_l3 + 1;
-    mc.Config.l3_latency
-  end
-  else begin
-    core.s_mem <- core.s_mem + 1;
-    mc.Config.mem_latency
-  end
-
-let cache_store st core addr =
-  let byte_addr = addr * st.mc.Config.word_bytes in
-  ignore (Cache.access core.l1 ~addr:byte_addr);
-  ignore (Cache.access core.l2 ~addr:byte_addr);
-  ignore (Cache.access st.l3 ~addr:byte_addr)

@@ -1,4 +1,4 @@
-(** Mutable machine state shared by {!Sim}'s jit kernel and the
+(** Mutable machine state shared by {!Sim}'s issue loops and the
     {!Jit} closure compiler.
 
     The jit kernel steps this state — cores, synchronization-array
@@ -6,7 +6,9 @@
     Queue entries and waiting consumers live in preallocated rings
     (entries are bounded by the queue capacity; waiter rings grow by
     doubling, bounded by cores x registers), so produce/consume allocate
-    nothing in steady state. *)
+    nothing in steady state. The operations on the issue path (ring
+    pushes and pops, produce delivery, the cache walk) live in {!Jit},
+    their only caller. *)
 
 open Gmt_ir
 
@@ -37,6 +39,18 @@ val stat_ports : int
     has not yet been produced (stall-on-use). *)
 val pending_mark : int
 
+(** {2 Issue slots}
+
+    Layout of {!core.k_slots}: an 8-bit count per structural class
+    (class index [i] of Calu, Cfp, Cmem, Cbr at bit [slot_shift i]) and
+    the group's issued count from bit [issued_shift] up. *)
+
+val slot_shift : int -> int
+val issued_shift : int
+
+(** The widest issue group whose counts the layout holds. *)
+val max_issue_width : int
+
 (** One synchronization-array queue: a fixed entry ring plus a growable
     ring of consumers blocked on an empty queue. *)
 type queue_state = {
@@ -50,12 +64,6 @@ type queue_state = {
   mutable w_len : int;
   mutable logical_occupancy : int;
 }
-
-val entry_push : queue_state -> value:int -> ready:int -> unit
-val entry_head_value : queue_state -> int
-val entry_head_ready : queue_state -> int
-val entry_drop : queue_state -> unit
-val waiter_push : queue_state -> core:int -> dst:int -> unit
 
 (** FIFO-order iteration over blocked consumers, oldest first. *)
 val waiter_iter : (core:int -> dst:int -> unit) -> queue_state -> unit
@@ -71,9 +79,9 @@ type core = {
   l2 : Cache.t;
   mutable outstanding_syncs : int;
   mutable fence_ready : int;
-  k_cnt : int array;
-      (** jit: per-class slots consumed this cycle (Calu..Cnone) *)
-  mutable k_issued : int;  (** jit: instructions issued this cycle *)
+  mutable k_slots : int;
+      (** jit: this cycle's per-class slot counts and issued count, in
+          one word (see {!slot_shift}); 0 before the group issues *)
   mutable wake : int;
       (** jit: earliest cycle a blocked guard could re-evaluate
           differently; [max_int] when only another core can unblock it *)
@@ -121,15 +129,3 @@ val make :
   init_mem:(int * int) list ->
   mem_size:int ->
   t
-
-(** Deliver a produced value: to the oldest waiting consumer if any
-    (register write or fence release one SA latency out), else enqueue
-    and track the occupancy peak. *)
-val produce_to : t -> int -> int -> unit
-
-(** Walk the cache hierarchy for a load at word address [addr]; bumps
-    the per-level hit counters and returns the hit latency. *)
-val cache_load : t -> core -> int -> int
-
-(** Touch the hierarchy for a store (stores commit at issue). *)
-val cache_store : t -> core -> int -> unit

@@ -36,6 +36,58 @@ let test_cache_probe_no_state_change () =
   Alcotest.(check bool) "probe cold" false (Cache.probe c ~addr:0);
   Alcotest.(check bool) "still cold" false (Cache.probe c ~addr:0)
 
+(* [Legacy] and [Sim] share [Cache], so their agreement cannot catch an
+   indexing bug: compare it hit for hit with a per-set LRU list model,
+   on a power-of-two geometry (the paper's 16 KB 4-way 64 B L1) and on
+   one that is not (the test config's 5-set L3). *)
+let naive_lru ~size ~assoc ~line =
+  let n_sets = max 1 (size / (assoc * line)) in
+  let sets = Array.make n_sets [] in
+  fun addr ->
+    let tag = addr / line in
+    let s = tag mod n_sets in
+    let hit = List.mem tag sets.(s) in
+    let rest = List.filter (fun t -> t <> tag) sets.(s) in
+    sets.(s) <- List.filteri (fun i _ -> i < assoc) (tag :: rest);
+    hit
+
+let prop_cache_matches_lru ~name ~size ~assoc ~line =
+  (* Each access repeats the previous line (the model's MRU filter) or
+     picks one of four times as many lines as the cache holds. *)
+  let lines = 4 * size / line in
+  let access =
+    QCheck.Gen.(
+      pair (int_range 0 2)
+        (pair (int_range 0 (lines - 1)) (int_range 0 (line - 1))))
+  in
+  QCheck.Test.make ~count:200 ~name
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 2000) access))
+    (fun stream ->
+      let c = Cache.create ~size ~assoc ~line in
+      let model = naive_lru ~size ~assoc ~line in
+      let prev = ref 0 and hits = ref 0 in
+      List.for_all
+        (fun (repeat, (l, off)) ->
+          let l = if repeat = 0 then !prev else l in
+          prev := l;
+          let addr = (l * line) + off in
+          let expect = model addr in
+          if expect then incr hits;
+          Cache.access c ~addr = expect)
+        stream
+      && Cache.hits c = !hits
+      && Cache.misses c = List.length stream - !hits)
+
+let prop_cache_l1 =
+  let mc = Config.itanium2 () in
+  prop_cache_matches_lru ~name:"cache == LRU lists (itanium2 L1)"
+    ~size:mc.Config.l1_size ~assoc:mc.Config.l1_assoc ~line:mc.Config.l1_line
+
+let prop_cache_l3_5_sets =
+  let mc = Config.test_config () in
+  prop_cache_matches_lru ~name:"cache == LRU lists (5-set test L3)"
+    ~size:mc.Config.l3_size ~assoc:mc.Config.l3_assoc ~line:mc.Config.l3_line
+
 (* ------------------------- sync array ------------------------- *)
 
 let test_syncarray_fifo () =
@@ -196,6 +248,32 @@ let test_sim_issue_width_bound () =
   let st = s.Sim.per_core.(0) in
   Alcotest.(check bool) "IPC <= issue width" true
     (st.Sim.instrs <= 6 * s.Sim.cycles)
+
+(* The issue slots are counted in one word, a byte per class, so an
+   issue group wider than 255 is refused rather than miscounted; at 255
+   the run still matches the legacy kernel. *)
+let test_sim_issue_width_limit () =
+  let w = Gmt_workloads.Suite.find "300.twolf" in
+  let module W = Gmt_workloads.Workload in
+  let p = Mtprog.make ~name:"twolf" ~threads:[| w.W.func |] ~n_queues:0 in
+  let init_regs = w.W.train.W.regs and init_mem = w.W.train.W.mem in
+  let mem_size = w.W.mem_size in
+  let wide n =
+    {
+      (Config.itanium2 ()) with
+      Config.issue_width = n;
+      alu_units = n;
+      mem_ports = n;
+      fp_units = n;
+      branch_units = n;
+    }
+  in
+  Alcotest.check_raises "issue width 256"
+    (Invalid_argument "Sim.run: issue_width above 255") (fun () ->
+      ignore (Sim.run (wide 256) p ~mem_size));
+  Alcotest.(check bool) "width 255 matches legacy" true
+    (Gmt_machine.Legacy.run ~init_regs ~init_mem (wide 255) p ~mem_size
+    = Sim.run ~init_regs ~init_mem (wide 255) p ~mem_size)
 
 let test_sim_decoupling () =
   (* A producer loop and a consumer loop: with 32-entry queues the
@@ -363,6 +441,8 @@ let tests =
     Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_after_miss;
     Alcotest.test_case "cache LRU" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache probe" `Quick test_cache_probe_no_state_change;
+    QCheck_alcotest.to_alcotest prop_cache_l1;
+    QCheck_alcotest.to_alcotest prop_cache_l3_5_sets;
     Alcotest.test_case "syncarray fifo" `Quick test_syncarray_fifo;
     Alcotest.test_case "syncarray readiness" `Quick test_syncarray_readiness;
     Alcotest.test_case "interp fig3 semantics" `Quick
@@ -375,6 +455,8 @@ let tests =
     Alcotest.test_case "sim matches interp" `Quick
       test_sim_single_matches_interp_memory;
     Alcotest.test_case "sim issue bound" `Quick test_sim_issue_width_bound;
+    Alcotest.test_case "sim issue width limit" `Quick
+      test_sim_issue_width_limit;
     Alcotest.test_case "sim decoupling" `Quick test_sim_decoupling;
     Alcotest.test_case "sim deadlock" `Quick test_sim_deadlock_detected;
     Alcotest.test_case "sim stall-on-use" `Quick test_sim_stall_on_use;

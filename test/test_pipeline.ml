@@ -205,6 +205,44 @@ let test_many_threads () =
         [ Suite.find "ks"; Suite.find "177.mesa"; Suite.find "adpcmdec" ])
     [ 3; 4 ]
 
+(* The digest a warm run's final image is checked against, written out
+   here from its definition: the MD5 of the MD5s of 512-word chunks,
+   each word as a little-endian int64, the last chunk possibly short. *)
+let reference_digest (memory : int array) =
+  let n = Array.length memory in
+  let sums = Buffer.create 16 in
+  let i = ref 0 in
+  while !i < n do
+    let len = min 512 (n - !i) in
+    let b = Bytes.create (8 * len) in
+    for j = 0 to len - 1 do
+      Bytes.set_int64_le b (8 * j) (Int64.of_int memory.(!i + j))
+    done;
+    Buffer.add_string sums (Digest.bytes b);
+    i := !i + len
+  done;
+  Digest.string (Buffer.contents sums)
+
+let test_memory_digest () =
+  let check label memory =
+    Alcotest.(check string) label
+      (Digest.to_hex (reference_digest memory))
+      (Digest.to_hex (V.memory_digest memory))
+  in
+  check "all zero" (Array.make 4096 0);
+  let last = Array.make 4096 0 in
+  last.(1023) <- -7;
+  check "only the last word of a chunk set" last;
+  check "64 words" (Array.init 64 (fun i -> i * i));
+  check "64 zero words" (Array.make 64 0);
+  check "1000 words" (Array.init 1000 (fun i -> if i mod 3 = 0 then 0 else i));
+  check "1000 zero words" (Array.make 1000 0);
+  let _, (image, _) = V.measure_reference (Suite.find "ks") in
+  check "ks reference image" image;
+  Alcotest.(check string) "ks reference image, pinned"
+    "ca92f495aad789ae419c97566b9114f8"
+    (Digest.to_hex (V.memory_digest image))
+
 let tests =
   [
     Alcotest.test_case "gremio baseline suite" `Quick test_gremio_baseline;
@@ -218,4 +256,5 @@ let tests =
     Alcotest.test_case "produce/consume balance" `Quick
       test_produce_consume_balance;
     Alcotest.test_case "3 and 4 threads" `Quick test_many_threads;
+    Alcotest.test_case "memory digest value" `Quick test_memory_digest;
   ]

@@ -81,7 +81,9 @@ let prop_kernels_agree_mt =
             mtp ~mem_size:Test_props.mem_size))
 
 (* Also pin the kernels against each other on real workloads, both
-   machine configs (1-entry GREMIO queues and 32-entry DSWP queues). *)
+   machine configs (1-entry GREMIO queues and 32-entry DSWP queues). Two
+   threads run [Sim]'s two-core loop; three run its generic loop, which
+   no 2-thread program reaches. *)
 let test_kernels_agree_workloads () =
   List.iter
     (fun name ->
@@ -96,9 +98,81 @@ let test_kernels_agree_workloads () =
             (engines_agree (fun run ->
                  run ~init_regs:w.W.reference.W.regs
                    ~init_mem:w.W.reference.W.mem mc c.V.mtp
+                   ~mem_size:w.W.mem_size));
+          let c3 = V.compile ~n_threads:3 tech w in
+          let mc3 = V.machine_config ~n_cores:3 tech in
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s at 3 threads" name (V.technique_name tech))
+            3
+            (Array.length c3.V.mtp.Mtprog.threads);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s kernels agree at 3 threads" name
+               (V.technique_name tech))
+            true
+            (engines_agree (fun run ->
+                 run ~init_regs:w.W.reference.W.regs
+                   ~init_mem:w.W.reference.W.mem mc3 c3.V.mtp
                    ~mem_size:w.W.mem_size)))
         [ V.Gremio; V.Dswp ])
     [ "adpcmdec"; "ks" ]
+
+(* Runs cut off by a small fuel, in both multi-core loops: each case at 2
+   and at 3 threads. The properties above run at a fuel nearly every case
+   completes under, so only this one compares partial cycles, stall
+   attribution and idle peaks, and fuel caps that land inside an idle
+   fast-forward. *)
+let prop_kernels_agree_fuel =
+  QCheck.Test.make ~count:100
+    ~name:"legacy == jit under small fuel (2 and 3 cores)"
+    (QCheck.pair Test_props.arbitrary_case (QCheck.int_range 1 20_000))
+    (fun ((stmts, seed, _n_threads), fuel) ->
+      let f = Test_props.lower stmts in
+      let pdg = Gmt_pdg.Pdg.build f in
+      List.for_all
+        (fun n_threads ->
+          let part = Test_props.random_partition f ~n_threads ~seed in
+          let mtp = Gmt_mtcg.Mtcg.run pdg part in
+          engines_agree (fun run ->
+              run ~fuel ~init_regs:Test_props.init_regs
+                ~init_mem:Test_props.init_mem
+                (Config.test_config ~n_cores:n_threads ())
+                mtp ~mem_size:Test_props.mem_size))
+        [ 2; 3 ])
+
+(* A ring of [k] threads, thread [i] consuming queue [i] and producing
+   what it consumed to queue [i + 1 mod k]: every queue starts empty, so
+   every thread stalls on its consumed value and the watchdog fires. *)
+let deadlock_ring k =
+  let thread i =
+    let b = Builder.create ~name:(Printf.sprintf "t%d" i) () in
+    let v = Builder.reg b and d = Builder.reg b in
+    let b0 = Builder.block b in
+    ignore (Builder.add b b0 (Instr.Consume (v, i)));
+    ignore (Builder.add b b0 (Instr.Produce ((i + 1) mod k, v)));
+    ignore (Builder.add b b0 (Instr.Binop (Instr.Add, d, v, v)));
+    ignore (Builder.add b b0 (Instr.Store (Builder.region b "m", d, 0, d)));
+    ignore (Builder.terminate b b0 Instr.Return);
+    Builder.finish b ~live_in:[] ~live_out:[]
+  in
+  Mtprog.make ~name:"ring" ~threads:(Array.init k thread) ~n_queues:k
+
+let test_deadlock_agrees () =
+  List.iter
+    (fun k ->
+      let run (engine : engine) =
+        engine ~fuel:2_000_000 (Config.test_config ~n_cores:k ())
+          (deadlock_ring k) ~mem_size:64
+      in
+      let legacy = run Legacy.run and jit = run Sim.run in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d cores deadlock" k)
+        true jit.Sim.deadlocked;
+      (* Every field, [deadlock_report] and [idle_peak] included. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%d cores: legacy == jit" k)
+        true
+        (sim_results_equal legacy jit))
+    [ 2; 3 ]
 
 (* ------------- the simulator == the interpreters ------------- *)
 
@@ -335,6 +409,9 @@ let tests =
     QCheck_alcotest.to_alcotest prop_kernels_agree_mt;
     Alcotest.test_case "sim kernels agree on workloads" `Quick
       test_kernels_agree_workloads;
+    QCheck_alcotest.to_alcotest prop_kernels_agree_fuel;
+    Alcotest.test_case "sim kernels agree on deadlock (2, 3 cores)" `Quick
+      test_deadlock_agrees;
     QCheck_alcotest.to_alcotest prop_sim_matches_interp;
     QCheck_alcotest.to_alcotest prop_sim_matches_mt_interp;
     QCheck_alcotest.to_alcotest prop_interp_engines_agree;
