@@ -18,10 +18,11 @@ module Make (P : PROBLEM) = struct
     cfg : Cfg.t;
     inf : P.fact array;
     outf : P.fact array;
-    (* Reversed block bodies, built lazily per block: backward [at]
-       queries re-walk a body right-to-left, and reversing it on every
-       query was a measurable cost for hot blocks. *)
-    rev_bodies : Instr.t list option array;
+    (* Per-block point facts, filled on the block's first query:
+       [points.(l).(i)] holds before the block's [i]th instruction and
+       [points.(l).(i + 1)] after it. A query then costs one lookup
+       instead of a walk over the block. *)
+    points : P.fact array option array;
   }
 
   (* Apply the block transfer: forward folds the body left-to-right,
@@ -106,43 +107,42 @@ module Make (P : PROBLEM) = struct
           List.iter push (Cfg.preds cfg b)
         end
     done;
-    { cfg; inf; outf; rev_bodies = Array.make n None }
+    { cfg; inf; outf; points = Array.make n None }
 
   let block_in r l = r.inf.(l)
   let block_out r l = r.outf.(l)
 
-  (* Recompute facts within the block up to the requested instruction. *)
-  let at r id ~want_before =
-    let l, idx = Cfg.position r.cfg id in
-    let body = Cfg.body r.cfg l in
-    match P.direction with
-    | Forward ->
-      let fact = ref r.inf.(l) in
-      List.iteri
-        (fun i ins ->
-          if i < idx || ((not want_before) && i = idx) then
-            fact := P.transfer ins !fact)
-        body;
-      !fact
-    | Backward ->
-      let m = List.length body in
-      let rev_body =
-        match r.rev_bodies.(l) with
-        | Some rb -> rb
-        | None ->
-          let rb = List.rev body in
-          r.rev_bodies.(l) <- Some rb;
-          rb
+  (* The same transfers, in the same order, as the solver's pass over
+     the block: forward from its in-fact, backward from its out-fact. *)
+  let points r l =
+    match r.points.(l) with
+    | Some a -> a
+    | None ->
+      let body = Array.of_list (Cfg.body r.cfg l) in
+      let m = Array.length body in
+      let a =
+        match P.direction with
+        | Forward ->
+          let a = Array.make (m + 1) r.inf.(l) in
+          for i = 0 to m - 1 do
+            a.(i + 1) <- P.transfer body.(i) a.(i)
+          done;
+          a
+        | Backward ->
+          let a = Array.make (m + 1) r.outf.(l) in
+          for i = m - 1 downto 0 do
+            a.(i) <- P.transfer body.(i) a.(i + 1)
+          done;
+          a
       in
-      let fact = ref r.outf.(l) in
-      List.iteri
-        (fun j ins ->
-          let i = m - 1 - j in
-          if i > idx || (want_before && i = idx) then
-            fact := P.transfer ins !fact)
-        rev_body;
-      !fact
+      r.points.(l) <- Some a;
+      a
 
-  let before r id = at r id ~want_before:true
-  let after r id = at r id ~want_before:false
+  let before r id =
+    let l, idx = Cfg.position r.cfg id in
+    (points r l).(idx)
+
+  let after r id =
+    let l, idx = Cfg.position r.cfg id in
+    (points r l).(idx + 1)
 end

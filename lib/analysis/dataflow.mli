@@ -1,10 +1,15 @@
 (** Generic iterative data-flow engine over CFGs.
 
     Problems provide a per-instruction transfer function; the engine
-    computes a fixpoint of block-boundary facts with a worklist, and
-    derives per-program-point facts on demand. Both the classic analyses
-    (liveness, reaching definitions) and COCO's thread-aware analyses
-    (SAFE, liveness w.r.t. a target thread) instantiate this functor. *)
+    computes a fixpoint of block-boundary facts with a worklist. A
+    block's per-instruction facts are computed together, on the first
+    point query into that block, and kept: every later query into the
+    block is a lookup. Both the classic analyses (liveness, reaching
+    definitions) and COCO's thread-aware analyses (SAFE, liveness w.r.t.
+    a target thread) instantiate this functor.
+
+    A {!Make.result} fills that per-block store as it is queried, so it
+    is not safe to share between domains: each domain solves its own. *)
 
 open Gmt_ir
 

@@ -47,7 +47,53 @@ type compiled = {
     its diagnostics — empty means verified. *)
 val verify_compiled : compiled -> Gmt_verify.Verify.diagnostic list
 
-(** Compile a workload.
+(** {2 The compile stages}
+
+    A compile runs in three stages, so that the products a workload's
+    cells share are computed once for all of them:
+    - {!analyze}, once per program: validate, the optional [opt]
+      pipeline, the profile and the PDG;
+    - {!partition}, once per technique and thread count: the partition
+      and its {!Gmt_sched.Partition.errors} check;
+    - {!codegen}, once per cell: COCO or the baseline plan, queue
+      allocation, MTCG, cleanup, [validate.threads] and verification.
+
+    {!compile} is their composition. A stage only reads the products it
+    is given, so one {!analysis} can feed every partition of its program
+    and one {!partitioned} both of its ±COCO cells, in any domain. *)
+
+(** The per-program products: the (optionally optimized) workload, its
+    profile and its PDG. *)
+type analysis
+
+(** The per-program stage; [profile_mode], [disambiguate_offsets],
+    [prune] and [optimize] are {!compile}'s.
+    @raise Failure when the train run exhausts its fuel. *)
+val analyze :
+  ?profile_mode:[ `Train | `Static ] ->
+  ?disambiguate_offsets:bool ->
+  ?prune:bool ->
+  ?optimize:bool ->
+  Workload.t ->
+  analysis
+
+(** One technique's partition of an {!analysis}, with the analysis it
+    came from. *)
+type partitioned
+
+(** The per-technique stage: partition into [n_threads] (default 2).
+    @raise Failure when the partitioner returns an invalid partition. *)
+val partition : ?n_threads:int -> technique -> analysis -> partitioned
+
+(** The per-cell stage; [coco], [cleanup] and [verify] are {!compile}'s.
+    Per-cell metric keys ([partition.<cell>.*], [coco.<cell>.*],
+    [mtcg.<cell>.queues]) are recorded here.
+    @raise Failure when verification rejects the generated code. *)
+val codegen :
+  ?coco:bool -> ?cleanup:bool -> ?verify:bool -> partitioned -> compiled
+
+(** Compile a workload: {!analyze}, then {!partition}, then {!codegen},
+    inside one [compile] span.
 
     [profile_mode] (default [`Train]) selects the edge weights COCO and
     the partitioners use: [`Train] interprets the workload's train input
@@ -247,10 +293,17 @@ val measure_single :
 
     The Fig 1/7/8 matrix is [workloads x matrix_kinds] cells, one
     simulation each. {!run_matrix} executes them on a
-    {!Gmt_parallel.Pool} in two phases — every workload's single-threaded
-    cell, which is also its row's oracle, then the multi-threaded cells
-    against it — and merges results in a fixed order: byte-identical
-    output for every [jobs] value. *)
+    {!Gmt_parallel.Pool} in two phases and merges results in a fixed
+    order: byte-identical output for every [jobs] value.
+    - Phase 0 runs one task per workload: its single-threaded cell,
+      which is also its row's oracle, then the row's {!analyze} and one
+      {!partition} per technique.
+    - Phase 1 runs the multi-threaded cells: each is the {!codegen} of
+      its row's partition, simulated and checked against the row's
+      oracle.
+
+    A row's shared products cross the phase barrier and are only read
+    after it. *)
 
 type cell_kind = Single | Mt of technique * bool  (** technique, ±COCO *)
 
@@ -276,11 +329,19 @@ type timed = {
   passes : (string * float) list;
       (** per-pass (name, milliseconds) breakdown captured via
           {!Gmt_obs.Obs.collect} — populated by {!run_matrix} regardless
-          of the global tracing switch; order is span completion order *)
+          of the global tracing switch; order is span completion order.
+          A multi-threaded cell's [compile] covers its {!codegen} only:
+          the row's shared stages are in [shared_passes]. *)
 }
 
 type row = {
   rw : Workload.t;
+  shared_wall_s : float;
+      (** wall clock of the row's shared stages: {!analyze} and both
+          {!partition}s *)
+  shared_passes : (string * float) list;
+      (** their per-pass breakdown, as {!timed}'s [passes]; each
+          partition is named for its technique (["partition.gremio"]) *)
   st : timed;
   gremio : timed;
   gremio_coco : timed;
