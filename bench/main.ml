@@ -179,6 +179,9 @@ type kcell = {
   kc_bench : string;
   kc_config : string;
   kc_wall : (string * float) list;  (* engine name -> seconds *)
+  kc_arcs_pruned : int;
+      (* memory arcs the absint disambiguator pruned from the cell's PDG;
+         0 for the single-threaded cell, which builds none *)
 }
 
 let time_thunk f =
@@ -192,16 +195,26 @@ let kernel_compare_cells ws =
     (List.length engines);
   List.concat_map
     (fun (w : W.t) ->
+      (* Compiled as [V.run_matrix] compiles: one analysis per program,
+         one partition per technique, one codegen per cell. *)
+      let an = V.analyze w in
+      let parts =
+        List.map (fun t -> (t, V.partition t an)) [ V.Gremio; V.Dswp ]
+      in
       List.map
         (fun kind ->
-          let mc, p =
+          let mc, p, arcs_pruned =
             match kind with
             | V.Single ->
               ( Config.itanium2 (),
                 Gmt_ir.Mtprog.make ~name:w.W.func.Gmt_ir.Func.name
-                  ~threads:[| w.W.func |] ~n_queues:0 )
+                  ~threads:[| w.W.func |] ~n_queues:0,
+                0 )
             | V.Mt (tech, coco) ->
-              (V.machine_config tech, (V.compile ~coco tech w).V.mtp)
+              let c = V.codegen ~coco (List.assoc tech parts) in
+              ( V.machine_config tech,
+                c.V.mtp,
+                Gmt_pdg.Pdg.mem_pruned c.V.pdg )
           in
           let run (engine : engine) =
             engine ~init_regs:w.W.reference.W.regs
@@ -246,6 +259,7 @@ let kernel_compare_cells ws =
             kc_bench = w.W.name;
             kc_config = V.cell_name kind;
             kc_wall = List.map (fun (kn, _, s) -> (kn, s)) timed;
+            kc_arcs_pruned = arcs_pruned;
           })
         V.matrix_kinds)
     ws
@@ -324,13 +338,13 @@ let write_fig8_json rs kcells =
       m.V.queue_peak;
     String.concat ", " (List.rev !nz)
   in
+  let kcell bench config =
+    List.find_opt
+      (fun kc -> kc.kc_bench = bench && kc.kc_config = config)
+      kcells
+  in
   (* Per-engine wall-clock column from the legacy-vs-jit comparison. *)
-  let kernels_json bench config =
-    match
-      List.find_opt
-        (fun kc -> kc.kc_bench = bench && kc.kc_config = config)
-        kcells
-    with
+  let kernels_json = function
     | None -> ""
     | Some kc ->
       Printf.sprintf ", \"kernels\": {%s}"
@@ -343,15 +357,9 @@ let write_fig8_json rs kcells =
     List.concat_map
       (fun (r : row) ->
         let st = st_m r in
-        (* Static-analysis columns, once per workload: memory arcs the
-           absint disambiguator prunes from the PDG (the MT cells all
-           compile from that pruned PDG; the single-thread cell never
-           builds one, so it records 0) and the wall-clock of a full
-           lint pass. *)
-        let arcs_pruned =
-          Gmt_pdg.Pdg.mem_pruned
-            (Gmt_pdg.Pdg.build ~prune_mem:r.V.rw.W.mem_size r.V.rw.W.func)
-        in
+        (* Static-analysis column, once per workload: the wall-clock of a
+           full lint pass. [arcs_pruned] comes from the engine
+           comparison's compile of the cell. *)
         let lint_ms =
           let t0 = Unix.gettimeofday () in
           ignore
@@ -361,6 +369,7 @@ let write_fig8_json rs kcells =
         List.map2
           (fun kind (t : V.timed) ->
             let m = t.V.metrics in
+            let kc = kcell r.V.rw.W.name (V.cell_name kind) in
             let sim_speedup =
               if m.V.cycles = 0 then 0.0
               else float_of_int st.V.cycles /. float_of_int m.V.cycles
@@ -373,10 +382,10 @@ let write_fig8_json rs kcells =
                \"passes_ms\": {%s}, \"stalls\": [%s], \"queue_peak\": {%s}%s}"
               r.V.rw.W.name (V.cell_name kind) m.V.cycles m.V.dyn_instrs
               m.V.comm_instrs m.V.mem_syncs
-              (match kind with V.Single -> 0 | V.Mt _ -> arcs_pruned)
+              (match kc with Some kc -> kc.kc_arcs_pruned | None -> 0)
               lint_ms t.V.wall_s sim_speedup
               (passes_json t.V.passes) (stalls_json m) (queue_peak_json m)
-              (kernels_json r.V.rw.W.name (V.cell_name kind)))
+              (kernels_json kc))
           V.matrix_kinds
           [ r.V.st; r.V.gremio; r.V.gremio_coco; r.V.dswp; r.V.dswp_coco ])
       rs

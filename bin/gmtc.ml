@@ -1087,7 +1087,7 @@ let jnum k j =
 let jint k j = int_of_float (jnum k j)
 let jstr k j = match jmember k j with Some (Json.Str s) -> s | _ -> ""
 
-(* Human-readable rendering of a gmtd-stats/2 frame: the cache and
+(* Human-readable rendering of a gmtd-stats/3 frame: the cache and
    request counters (evictions and corrupt-entry recoveries included),
    last-minute windows, per-op latency percentiles, per-stage means, and
    the tail of the structured event log. *)
@@ -1110,16 +1110,9 @@ let render_stats ~socket j =
       rate
   | None -> ());
   (match jmember "pool" j with
-  | Some p when jint "workers" p > 0 ->
-    pf
-      "pool      workers %d  tasks %d  injected %d  steals %d/%d  parks %d  \
-       deque-peak %d\n"
-      (jint "workers" p) (jint "tasks_run" p) (jint "injected" p)
-      (jint "steals_succeeded" p)
-      (jint "steals_attempted" p)
-      (jint "parks" p)
-      (jint "deque_depth_peak" p)
-  | Some _ -> pf "pool      inline (jobs 1)\n"
+  | Some p ->
+    pf "pool      workers %d  tasks %d  parks %d\n" (jint "workers" p)
+      (jint "tasks_run" p) (jint "parks" p)
   | None -> ());
   (match jmember "telemetry" j with
   | Some (Json.Obj _ as tele) ->
@@ -1300,7 +1293,7 @@ let remote_stats_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Print the raw gmtd-stats/2 frame as JSON (with several \
+            "Print the raw gmtd-stats/3 frame as JSON (with several \
              endpoints, every shard's frame under one gmt-farm-stats/1 \
              object).")
   in

@@ -1,14 +1,23 @@
-(* Futures + determinism contract over the work-stealing runtime.
+(* Futures + determinism contract over one locked FIFO.
 
-   Execution is delegated to Gmt_exec.Sched; this module adds the inline
-   jobs<=1 mode, the error strings, submission-order collection and
-   exception/backtrace propagation. *)
+   [jobs] worker domains drain a single [Queue.t] guarded by one mutex
+   and one condition variable; the counters live under the same mutex.
+   A worker runs each task with the lock released, waits on the
+   condition when the queue is empty, and exits once the pool is
+   stopped and the queue is drained. Tasks never raise: [submit] wraps
+   each one so that its result or exception fills a future. *)
 
 type t = {
-  n_workers : int;
-  sched : Gmt_exec.Sched.t option; (* None <=> inline (jobs <= 1) *)
-  closed : bool Atomic.t;
+  lock : Mutex.t;
+  nonempty : Condition.t;
+  tasks : (unit -> unit) Queue.t;
+  mutable stopped : bool;
+  mutable tasks_run : int;
+  mutable parks : int;
+  mutable domains : unit Domain.t list;
 }
+
+type stats = { workers : int; tasks_run : int; parks : int }
 
 type 'a state =
   | Pending
@@ -26,18 +35,58 @@ let check_jobs where jobs =
     invalid_arg
       (Printf.sprintf "%s: jobs must be >= 1 (got %d)" where jobs)
 
-let create ?blocking ~jobs () =
+let spawned = Atomic.make 0
+
+let domains_spawned_total () = Atomic.get spawned
+
+(* Entered and left with [pool.lock] held. *)
+let rec work pool =
+  match Queue.take_opt pool.tasks with
+  | Some task ->
+    Mutex.unlock pool.lock;
+    task ();
+    Mutex.lock pool.lock;
+    pool.tasks_run <- pool.tasks_run + 1;
+    work pool
+  | None when pool.stopped -> ()
+  | None ->
+    pool.parks <- pool.parks + 1;
+    Condition.wait pool.nonempty pool.lock;
+    work pool
+
+let create ~jobs () =
   check_jobs "Pool.create" jobs;
-  let n_workers = if jobs <= 1 then 0 else jobs in
-  let sched =
-    if n_workers = 0 then None
-    else Some (Gmt_exec.Sched.create ?blocking ~workers:n_workers ())
+  let pool =
+    {
+      lock = Mutex.create ();
+      nonempty = Condition.create ();
+      tasks = Queue.create ();
+      stopped = false;
+      tasks_run = 0;
+      parks = 0;
+      domains = [];
+    }
   in
-  { n_workers; sched; closed = Atomic.make false }
+  pool.domains <-
+    List.init jobs (fun _ ->
+        Atomic.incr spawned;
+        Domain.spawn (fun () ->
+            Mutex.lock pool.lock;
+            work pool;
+            Mutex.unlock pool.lock));
+  pool
 
-let size pool = pool.n_workers
-
-let stats pool = Option.map Gmt_exec.Sched.stats pool.sched
+let stats pool =
+  Mutex.lock pool.lock;
+  let s =
+    {
+      workers = List.length pool.domains;
+      tasks_run = pool.tasks_run;
+      parks = pool.parks;
+    }
+  in
+  Mutex.unlock pool.lock;
+  s
 
 let submit pool f =
   let fut =
@@ -54,14 +103,14 @@ let submit pool f =
     Condition.broadcast fut.fdone;
     Mutex.unlock fut.flock
   in
-  if Atomic.get pool.closed then invalid_arg "Pool.submit: pool is shut down";
-  (match pool.sched with
-  | None -> job ()
-  | Some sched -> (
-    try Gmt_exec.Sched.submit sched job
-    with Invalid_argument _ ->
-      (* Raced with shutdown: report it as ours, not the scheduler's. *)
-      invalid_arg "Pool.submit: pool is shut down"));
+  Mutex.lock pool.lock;
+  if pool.stopped then begin
+    Mutex.unlock pool.lock;
+    invalid_arg "Pool.submit: pool is shut down"
+  end;
+  Queue.push job pool.tasks;
+  Condition.signal pool.nonempty;
+  Mutex.unlock pool.lock;
   fut
 
 let await fut =
@@ -81,10 +130,12 @@ let await fut =
   wait ()
 
 let shutdown pool =
-  if Atomic.compare_and_set pool.closed false true then
-    match pool.sched with
-    | None -> ()
-    | Some sched -> Gmt_exec.Sched.shutdown sched
+  Mutex.lock pool.lock;
+  let first = not pool.stopped in
+  pool.stopped <- true;
+  Condition.broadcast pool.nonempty;
+  Mutex.unlock pool.lock;
+  if first then List.iter Domain.join pool.domains
 
 let default_jobs () =
   match Sys.getenv_opt "GMT_JOBS" with
@@ -114,7 +165,7 @@ let run_list ?jobs tasks =
   | tasks ->
     if jobs <= 1 then List.map (fun f -> f ()) tasks
     else begin
-      (* More workers than tasks would just park and get joined. *)
+      (* More workers than tasks would just wait and get joined. *)
       let jobs = min jobs (List.length tasks) in
       let pool = create ~jobs () in
       Fun.protect

@@ -1,53 +1,55 @@
-(** Futures and deterministic fan-out over the work-stealing runtime.
+(** Futures and deterministic fan-out over one locked task queue.
 
     The evaluation matrix — (workload, partitioner, ±COCO) cells, each an
     independent compile + simulate — fans out across OCaml 5 domains
-    through this pool. Execution is delegated to {!Gmt_exec.Sched}
-    (per-worker Chase–Lev deques, lock-free injection, randomized
-    stealing); this module adds futures and the determinism contract:
-    futures are fulfilled with whatever the task computes, and callers
-    collect them in submission order, so results are byte-identical for
-    every [jobs] value (the cells share no mutable state; only
-    scheduling differs).
+    through this pool, and so does the gmtd daemon, one task per
+    connection. A pool is [jobs] worker domains draining one FIFO under
+    one mutex and condition variable. Futures are fulfilled with
+    whatever the task computes, and callers collect them in submission
+    order, so results are byte-identical for every [jobs] value (the
+    cells share no mutable state; only scheduling differs).
 
-    With [jobs <= 1] no domain is ever spawned and tasks run inline at
-    submission, preserving the exact single-threaded execution.
-    {!run_list} additionally never spawns for an empty or singleton task
-    list, whatever [jobs] says. *)
+    {!run_list} with [jobs <= 1], or with an empty or singleton task
+    list, spawns no domain and runs the tasks inline, preserving the
+    exact single-threaded execution. *)
 
 type t
-(** A pool of worker domains backed by a private work-stealing
-    scheduler. *)
+(** A pool of worker domains sharing one task queue. *)
 
 type 'a future
 
-val create : ?blocking:bool -> jobs:int -> unit -> t
-(** [create ~jobs] spawns [jobs] worker domains ([jobs = 1]: none, tasks
-    run inline). [blocking] is forwarded to {!Gmt_exec.Sched.create}:
-    pools whose tasks park in I/O or on condvars (the gmtd request
-    handlers) pass [~blocking:true] so a host with fewer cores than
-    [jobs] still runs them concurrently; CPU-bound fan-out keeps the
-    default core clamp and batch draining.
+val create : jobs:int -> unit -> t
+(** [create ~jobs] spawns exactly [jobs] worker domains, whatever the
+    core count: gmtd's request handlers block in I/O and on the
+    single-flight condvar, so every worker must be schedulable.
     @raise Invalid_argument when [jobs <= 0]. *)
 
-val size : t -> int
-(** Number of worker domains (0 for an inline pool). *)
-
 val submit : t -> (unit -> 'a) -> 'a future
-(** Enqueue a task. Exceptions raised by the task are captured and
-    re-raised by {!await}. @raise Invalid_argument after {!shutdown}. *)
+(** Enqueue a task and wake one waiting worker. Exceptions raised by the
+    task are captured and re-raised by {!await}.
+    @raise Invalid_argument after {!shutdown}. *)
 
 val await : 'a future -> 'a
 (** Block until the task completes; re-raises its exception (with the
     original backtrace) if it failed. *)
 
 val shutdown : t -> unit
-(** Drain remaining tasks, then join all workers. Idempotent. *)
+(** Drain remaining tasks, then join all workers. Idempotent; call it
+    from the domain that created the pool. *)
 
-val stats : t -> Gmt_exec.Sched.stats option
-(** Scheduler counters (tasks run, steals, parks, deque depth peak);
-    [None] for an inline pool. Exact after {!shutdown}, racy-but-safe
-    while running — see {!Gmt_exec.Sched.stats}. *)
+type stats = {
+  workers : int;  (** worker domains, [jobs] *)
+  tasks_run : int;  (** tasks run to completion *)
+  parks : int;  (** times a worker waited on an empty queue *)
+}
+
+val stats : t -> stats
+(** Counter snapshot, read under the queue's lock. *)
+
+val domains_spawned_total : unit -> int
+(** Process-wide count of worker domains ever spawned by {!create}; the
+    regression test that {!run_list} spawns no domain for an empty or
+    singleton task list reads it. *)
 
 val run_list : ?jobs:int -> (unit -> 'a) list -> 'a list
 (** [run_list ~jobs tasks] runs all tasks on a fresh pool of [jobs]

@@ -95,7 +95,7 @@ val request : socket:string -> req -> (Render.outcome, [> error ]) result
 (** Protocol version of the listening daemon. *)
 val ping : socket:string -> (string, [> error ]) result
 
-(** The daemon's [gmtd-stats/2] frame. A busy daemon answers [stats]
+(** The daemon's [gmtd-stats/3] frame. A busy daemon answers [stats]
     with its busy frame like any other request; that, and any other
     [ok: false] frame, is an [Error] classified as for {!ping}. *)
 val stats : socket:string -> (Gmt_obs.Json.t, [> error ]) result

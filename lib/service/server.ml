@@ -48,17 +48,11 @@ type instruments = {
   c_sf_waits : Registry.counter;
   c_repl_ingested : Registry.counter;
   g_in_flight : Registry.gauge;
-  (* Scheduler counters mirrored as gauges: refreshed from
-     [Pool.stats] on every stats request, so the Prometheus exposition
-     and the telemetry JSON carry the work-stealing runtime's health
-     without the scheduler ever touching the registry on its hot
-     paths. *)
+  (* Pool counters mirrored as gauges: refreshed from [Pool.stats] on
+     every stats request, so the Prometheus exposition and the telemetry
+     JSON carry them without the pool ever touching the registry. *)
   g_pool_tasks : Registry.gauge;
-  g_pool_injected : Registry.gauge;
-  g_pool_steal_att : Registry.gauge;
-  g_pool_steal_ok : Registry.gauge;
   g_pool_parks : Registry.gauge;
-  g_pool_depth_peak : Registry.gauge;
   w_hits : Rolling.t;
   w_misses : Rolling.t;
   w_busy : Rolling.t;
@@ -85,11 +79,7 @@ let make_instruments () =
     c_repl_ingested = Registry.counter reg "farm.replication.ingested";
     g_in_flight = Registry.gauge reg "in_flight";
     g_pool_tasks = Registry.gauge reg "pool.tasks_run";
-    g_pool_injected = Registry.gauge reg "pool.injected";
-    g_pool_steal_att = Registry.gauge reg "pool.steals_attempted";
-    g_pool_steal_ok = Registry.gauge reg "pool.steals_succeeded";
     g_pool_parks = Registry.gauge reg "pool.parks";
-    g_pool_depth_peak = Registry.gauge reg "pool.deque_depth_peak";
     w_hits = Registry.window reg Rolling.Sum "win.cache.hits";
     w_misses = Registry.window reg Rolling.Sum "win.cache.misses";
     w_busy = Registry.window reg Rolling.Sum "win.busy";
@@ -364,53 +354,16 @@ let serve t { job; fuel } key payload =
 let stats_json t =
   let s = Cache.stats t.cache in
   let ps = Pool.stats t.pool in
-  (* Racy-but-safe live snapshot (Sched.stats); mirror it into the
-     registry gauges so the prometheus/telemetry exposition sees it. *)
   let ins = t.ins in
-  (match ps with
-  | Some st ->
-    let module S = Gmt_exec.Sched in
-    Registry.set_gauge ins.g_pool_tasks st.S.tasks_run;
-    Registry.set_gauge ins.g_pool_injected st.S.injected;
-    Registry.set_gauge ins.g_pool_steal_att st.S.steals_attempted;
-    Registry.set_gauge ins.g_pool_steal_ok st.S.steals_succeeded;
-    Registry.set_gauge ins.g_pool_parks st.S.parks;
-    Registry.set_gauge ins.g_pool_depth_peak st.S.deque_depth_peak
-  | None -> ());
+  Registry.set_gauge ins.g_pool_tasks ps.Pool.tasks_run;
+  Registry.set_gauge ins.g_pool_parks ps.Pool.parks;
   let now = Unix.gettimeofday () in
   let n name v = (name, Json.Num (float_of_int v)) in
-  let pool_obj =
-    match ps with
-    | None ->
-      (* Inline pool (jobs = 1): no scheduler, all-zero counters. *)
-      Json.Obj
-        [
-          n "workers" 0;
-          n "tasks_run" 0;
-          n "injected" 0;
-          n "steals_attempted" 0;
-          n "steals_succeeded" 0;
-          n "parks" 0;
-          n "deque_depth_peak" 0;
-        ]
-    | Some st ->
-      let module S = Gmt_exec.Sched in
-      Json.Obj
-        [
-          n "workers" st.S.workers;
-          n "tasks_run" st.S.tasks_run;
-          n "injected" st.S.injected;
-          n "steals_attempted" st.S.steals_attempted;
-          n "steals_succeeded" st.S.steals_succeeded;
-          n "parks" st.S.parks;
-          n "deque_depth_peak" st.S.deque_depth_peak;
-        ]
-  in
   Json.Obj
     [
       ("ok", Json.Bool true);
       ("version", Json.Str Proto.version);
-      ("schema", Json.Str "gmtd-stats/2");
+      ("schema", Json.Str "gmtd-stats/3");
       n "jobs" t.cfg.jobs;
       n "in_flight" (Atomic.get t.in_flight);
       ("uptime_s", Json.Num (now -. t.started));
@@ -423,7 +376,13 @@ let stats_json t =
             n "evictions" s.Cache.evictions;
             n "corrupt" s.Cache.corrupt;
           ] );
-      ("pool", pool_obj);
+      ( "pool",
+        Json.Obj
+          [
+            n "workers" ps.Pool.workers;
+            n "tasks_run" ps.Pool.tasks_run;
+            n "parks" ps.Pool.parks;
+          ] );
       ("telemetry", Registry.json ~now ins.reg);
       ("prometheus", Json.Str (Registry.prometheus ~now ins.reg));
       ("events", Json.Arr (List.map (fun l -> Json.Str l) (Events.recent ())));
@@ -653,13 +612,11 @@ let start cfg =
   let cache = Cache.create ~mem_capacity:cfg.mem_capacity ?dir:cfg.cache_dir ()
   in
   let references = references_create cfg.mem_capacity in
-  (* Request handlers block — in read_frame on a slow client, and on
-     the single-flight condvar while joining a leader's compile — so
-     the pool runs in blocking mode: all [jobs] workers active whatever
-     the core count, one task per grab, a wake per submit. With the
-     CPU-bound defaults a 1-core box would serialize requests and
-     coalescing could never trigger. *)
-  let pool = Pool.create ~blocking:true ~jobs:(max 1 cfg.jobs) () in
+  (* One worker per job, none on the accept domain: a handler blocks in
+     read_frame on a slow client and on the single-flight condvar, so an
+     idle connection holds a worker, never the accept loop that sheds
+     load past [queue_bound]. *)
+  let pool = Pool.create ~jobs:(max 1 cfg.jobs) () in
   (* A stale socket file from a crashed daemon would make bind fail;
      replace it. A live daemon on the same path loses its socket — the
      operator picked the path, so last-started wins. *)

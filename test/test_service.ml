@@ -198,11 +198,11 @@ let test_busy_reply () =
   | Error (`Protocol m) ->
     Alcotest.failf "stats: expected busy, got protocol: %s" m
 
-(* Busy semantics under real concurrent load, on the work-stealing
-   dispatch path (jobs >= 2): with queue_bound 1, four client domains
-   firing back-to-back requests must each either get a well-formed
-   exit-6 busy reply or the exact offline bytes — and the server must
-   survive the storm with its scheduler counters advancing. *)
+(* Busy semantics under real concurrent load, with two pool workers:
+   with queue_bound 1, four client domains firing back-to-back requests
+   must each either get a well-formed exit-6 busy reply or the exact
+   offline bytes — and the server must survive the storm with its pool
+   counters advancing. *)
 let test_busy_under_load () =
   let offline =
     Render.run ~technique:V.Gremio ~coco:false ~threads:2
@@ -252,7 +252,7 @@ let test_busy_under_load () =
   Alcotest.(check bool) "some requests answered" true (oks <> []);
   Alcotest.(check bool) "bound actually pushed back" true (busy > 0);
   List.iter (fun o -> check_outcome "loaded reply" offline o) oks;
-  (* The storm went through the scheduler: stats/2 must show it. The
+  (* The storm went through the pool: stats/3 must show it. The
      accept-time shed can still answer busy for a moment after the
      clients join: each client reads its last reply and closes, but the
      worker only releases its in_flight slot once it observes the EOF,
@@ -276,9 +276,68 @@ let test_busy_under_load () =
         | _ -> -1
       in
       Alcotest.(check int) "pool.workers" 2 (f "workers");
-      Alcotest.(check bool) "pool.tasks_run advanced" true (f "tasks_run" > 0);
-      Alcotest.(check bool) "pool.injected advanced" true (f "injected" > 0)
-    | None -> Alcotest.fail "stats/2 frame lacks pool object")
+      Alcotest.(check bool) "pool.tasks_run advanced" true (f "tasks_run" > 0)
+    | None -> Alcotest.fail "stats/3 frame lacks pool object")
+
+(* With --jobs 1 the one handler runs on a worker domain, not on the
+   accept loop: a connection that sends nothing holds that worker while
+   the accept loop still sheds the next connection with a busy reply.
+   Each stats call runs in its own domain under a 5 s deadline, so a
+   daemon whose accept loop stalls fails the test instead of hanging
+   it. *)
+let test_jobs1_idle_connection () =
+  with_server ~jobs:1 ~queue_bound:1 @@ fun srv ->
+  let socket = Server.socket srv in
+  let idle = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let closed = ref false in
+  let close_idle () =
+    if not !closed then begin
+      closed := true;
+      try Unix.close idle with Unix.Unix_error _ -> ()
+    end
+  in
+  Fun.protect ~finally:close_idle @@ fun () ->
+  Unix.connect idle (Unix.ADDR_UNIX socket);
+  let stats_within label =
+    let result = Atomic.make None in
+    let d =
+      Domain.spawn (fun () -> Atomic.set result (Some (Client.stats ~socket)))
+    in
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get result = None && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.01
+    done;
+    match Atomic.get result with
+    | Some r ->
+      Domain.join d;
+      r
+    | None ->
+      (* Closing the idle connection unblocks the stalled daemon, so
+         the client domain and the server can still be joined. *)
+      close_idle ();
+      Domain.join d;
+      Alcotest.failf "%s: no stats reply within 5 s" label
+  in
+  (match stats_within "idle connection open" with
+  | Error (`Busy _) -> ()
+  | Ok _ -> Alcotest.fail "expected busy, got a stats frame"
+  | Error `No_daemon -> Alcotest.fail "expected busy, got No_daemon"
+  | Error (`Protocol m) -> Alcotest.failf "expected busy, got protocol: %s" m);
+  close_idle ();
+  (* The worker frees the slot once it reads the EOF; retry until it
+     has. *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec served () =
+    match stats_within "idle connection closed" with
+    | Ok _ -> ()
+    | Error (`Busy _) when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.01;
+      served ()
+    | Error (`Busy m) | Error (`Protocol m) ->
+      Alcotest.failf "stats after the idle connection closed: %s" m
+    | Error `No_daemon -> Alcotest.fail "daemon vanished"
+  in
+  served ()
 
 (* -------------------------- malformed frame ------------------------ *)
 
@@ -514,7 +573,7 @@ let test_traced_request () =
       (has "req.fingerprint")
   | Error e -> Alcotest.failf "stitched trace is not valid JSON: %s" e
 
-(* The stats/2 frame: schema tag, telemetry registry (counters +
+(* The stats/3 frame: schema tag, telemetry registry (counters +
    latency histograms fed by the requests above), and a Prometheus text
    block whose sample lines all carry the gmt_ prefix. *)
 let test_stats2_frame () =
@@ -532,22 +591,19 @@ let test_stats2_frame () =
     | Error _ -> Alcotest.fail "stats rpc failed"
   in
   Alcotest.(check (option string))
-    "schema" (Some "gmtd-stats/2")
+    "schema" (Some "gmtd-stats/3")
     (Proto.str_field j "schema");
   Alcotest.(check bool) "uptime present" true
     (match Json.member "uptime_s" j with
     | Some (Json.Num f) -> f >= 0.0
     | _ -> false);
-  Alcotest.(check bool) "pool object with scheduler counters" true
+  Alcotest.(check bool) "pool object with its counters" true
     (match Json.member "pool" j with
     | Some p ->
       List.for_all
         (fun k ->
           match Json.member k p with Some (Json.Num _) -> true | _ -> false)
-        [
-          "workers"; "tasks_run"; "injected"; "steals_attempted";
-          "steals_succeeded"; "parks"; "deque_depth_peak";
-        ]
+        [ "workers"; "tasks_run"; "parks" ]
     | None -> false);
   let tele =
     match Json.member "telemetry" j with
@@ -696,10 +752,10 @@ let test_warm_run_contract () =
   served "changed, evicted record" ~status:"miss" ~reused:5 expect'
     (run ~gmt:gmt' ());
   counters_agree "end";
-  (* The counter rides the stats/2 frame and its Prometheus text. *)
+  (* The counter rides the stats/3 frame and its Prometheus text. *)
   match Client.rpc ~socket Client.stats_request with
   | Ok j ->
-    Alcotest.(check bool) "stats/2 counts 5 reused references" true
+    Alcotest.(check bool) "stats/3 counts 5 reused references" true
       (Option.bind (Json.member "telemetry" j) (fun t ->
            Option.bind (Json.member "counters" t)
              (Json.member "req.reference.reused"))
@@ -845,4 +901,6 @@ let tests =
     Alcotest.test_case "request keys" `Quick test_request_keys;
     Alcotest.test_case "stats/2 frame" `Quick test_stats2_frame;
     Alcotest.test_case "ping" `Quick test_ping;
+    Alcotest.test_case "one worker: idle connection does not stall" `Quick
+      test_jobs1_idle_connection;
   ]

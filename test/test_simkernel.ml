@@ -315,7 +315,7 @@ let test_pool_exceptions () =
 
 let test_pool_shutdown_idempotent () =
   let p = Pool.create ~jobs:2 () in
-  Alcotest.(check int) "size" 2 (Pool.size p);
+  Alcotest.(check int) "workers" 2 (Pool.stats p).Pool.workers;
   let f = Pool.submit p (fun () -> 41 + 1) in
   Alcotest.(check int) "await" 42 (Pool.await f);
   Pool.shutdown p;
