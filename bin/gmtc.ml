@@ -141,11 +141,10 @@ let fuel_opt_arg =
     & opt (some pos_int_conv) None
     & info [ "fuel" ] ~docv:"STEPS"
         ~doc:
-          "Step budget: for $(b,run), the cycles of each simulation (the \
-           single-threaded reference, then the compiled cell); for \
-           $(b,sweep), the interpreter steps of each run. Exhausting it \
-           aborts the measurement with exit code 5 instead of running \
-           forever.")
+          "Cycle budget of each simulation: the single-threaded \
+           reference, then each compiled cell ($(b,run)'s one, or \
+           $(b,sweep)'s two per thread count). Exhausting it aborts the \
+           measurement with exit code 5 instead of running forever.")
 
 (* Print exactly what a Render outcome says and exit with its code —
    the one funnel both local and remote execution drain through. *)

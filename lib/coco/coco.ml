@@ -164,7 +164,3 @@ let optimize ?(control_penalty = true) ?(max_iterations = 10) pdg partition
       memory_cuts = !mem_cuts;
       fallbacks = !fallbacks;
     } )
-
-let run ?control_penalty pdg partition profile =
-  let plan, _ = optimize ?control_penalty pdg partition profile in
-  Mtcg.generate pdg partition plan

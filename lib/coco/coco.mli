@@ -24,11 +24,3 @@ val optimize :
   Gmt_mtcg.Mtcg.plan * stats
 (** [control_penalty] defaults to [true]; disabling it gives the ablation
     where equal-cost cuts may drag extra branches into target threads. *)
-
-(** Convenience: optimize and weave in one step. *)
-val run :
-  ?control_penalty:bool ->
-  Gmt_pdg.Pdg.t ->
-  Gmt_sched.Partition.t ->
-  Gmt_analysis.Profile.t ->
-  Gmt_ir.Mtprog.t

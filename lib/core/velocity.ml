@@ -18,11 +18,13 @@ let technique_name = function Dswp -> "DSWP" | Gremio -> "GREMIO"
 exception Deadlock of string
 
 (* Metric-key prefix identifying one evaluation cell, e.g.
-   ["queens/dswp+coco"]. *)
-let mt_label name technique coco =
+   ["queens/dswp+coco"], or ["queens/dswp+coco@3"] at a thread count
+   other than the paper's two. *)
+let mt_label name technique coco n_threads =
   name ^ "/"
   ^ String.lowercase_ascii (technique_name technique)
-  ^ if coco then "+coco" else ""
+  ^ (if coco then "+coco" else "")
+  ^ if n_threads = 2 then "" else "@" ^ string_of_int n_threads
 
 type compiled = {
   workload : Workload.t;
@@ -46,7 +48,9 @@ let machine_config ?(n_cores = 2) = function
 (* Run the translation validator over one compiled program; returns its
    diagnostics (empty = verified). *)
 let verify_compiled c =
-  let label = mt_label c.workload.Workload.name c.technique c.coco in
+  let label =
+    mt_label c.workload.Workload.name c.technique c.coco c.n_threads
+  in
   Obs.span ~cat:"stage" "req.verify" @@ fun () ->
   Obs.span ~args:[ ("cell", Obs.S label) ] "verify" (fun () ->
       Verify.run
@@ -127,7 +131,7 @@ let partition ?(n_threads = 2) technique an =
 let codegen ?(coco = false) ?(cleanup = true) ?(verify = true) pt =
   let an = pt.pt_analysis and technique = pt.pt_technique in
   let w = an.an_workload and pdg = an.an_pdg and partition = pt.pt_partition in
-  let label = mt_label w.name technique coco in
+  let label = mt_label w.name technique coco pt.pt_n_threads in
   if Obs.metrics_enabled () then
     for t = 0 to Partition.n_threads partition - 1 do
       Obs.Metrics.add
@@ -194,16 +198,17 @@ let codegen ?(coco = false) ?(cleanup = true) ?(verify = true) pt =
   end;
   c
 
-let compile_span name technique coco f =
+let compile_span name technique coco n_threads f =
   Obs.span ~cat:"pipeline"
-    ~args:[ ("cell", Obs.S (mt_label name technique coco)) ]
+    ~args:[ ("cell", Obs.S (mt_label name technique coco n_threads)) ]
     "compile" f
 
-let compile ?n_threads ?(coco = false) ?profile_mode ?disambiguate_offsets
-    ?prune ?optimize ?cleanup ?verify technique (w : Workload.t) =
-  compile_span w.name technique coco @@ fun () ->
+let compile ?(n_threads = 2) ?(coco = false) ?profile_mode
+    ?disambiguate_offsets ?prune ?optimize ?cleanup ?verify technique
+    (w : Workload.t) =
+  compile_span w.name technique coco n_threads @@ fun () ->
   analyze ?profile_mode ?disambiguate_offsets ?prune ?optimize w
-  |> partition ?n_threads technique
+  |> partition ~n_threads technique
   |> codegen ~coco ?cleanup ?verify
 
 type artifact = {
@@ -403,7 +408,7 @@ let resolve_oracle ?fuel ?expect w =
    with no parsed workload at all measure through the same code. *)
 let measure_prog ?fuel ~oracle ~name ~input ~mem_size ~technique ~coco
     ~n_threads (mtp : Mtprog.t) =
-  let label = mt_label name technique coco in
+  let label = mt_label name technique coco n_threads in
   let mc = machine_config ~n_cores:(max 2 n_threads) technique in
   let sim, m = simulate ?fuel label mc ~input ~mem_size mtp in
   if sim.Sim.deadlocked then
@@ -549,7 +554,7 @@ let run_matrix ?jobs ?fuel (ws : Workload.t list) =
         (w.Workload.name ^ "/" ^ cell_name (Mt (tech, coco)))
         (fun () ->
           let c =
-            compile_span w.Workload.name tech coco (fun () ->
+            compile_span w.Workload.name tech coco 2 (fun () ->
                 codegen ~coco (List.assoc tech parts))
           in
           measure_of ?fuel ~oracle ~technique:tech ~coco ~n_threads:2 w c.mtp)

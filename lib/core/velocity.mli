@@ -87,7 +87,9 @@ val partition : ?n_threads:int -> technique -> analysis -> partitioned
 
 (** The per-cell stage; [coco], [cleanup] and [verify] are {!compile}'s.
     Per-cell metric keys ([partition.<cell>.*], [coco.<cell>.*],
-    [mtcg.<cell>.queues]) are recorded here.
+    [mtcg.<cell>.queues]) are recorded here. A cell is named
+    [<workload>/<technique>[+coco]], with [@<k>] appended at a thread
+    count [k] other than 2, as in its [sim.<cell>.*] keys.
     @raise Failure when verification rejects the generated code. *)
 val codegen :
   ?coco:bool -> ?cleanup:bool -> ?verify:bool -> partitioned -> compiled

@@ -6,9 +6,9 @@
     per-instruction round-robin or seeded-random — correctness of MTCG
     output must not depend on the interleaving, and tests exercise both.
 
-    It counts communication for [gmtc sweep] and explores schedules for
-    the fuzzer; measurement takes its counts from {!Sim} instead, and
-    tests pin the two to each other. *)
+    It explores schedules for the fuzzer and serves the tests; every
+    measured program, [gmtc sweep]'s cells included, takes its counts
+    from {!Sim} instead, and tests pin the two to each other. *)
 
 open Gmt_ir
 

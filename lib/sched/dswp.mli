@@ -15,6 +15,13 @@ val partition :
   Partition.t
 (** Defaults to 2 threads, like the paper's evaluation. *)
 
+(** [bottleneck_split weights k] cuts the sequence [weights] into at
+    most [k] contiguous chunks minimizing the heaviest chunk's sum, and
+    returns each element's chunk index. Among optimal splits it takes
+    the fewest chunks. DSWP cuts its SCC order with it, and GREMIO its
+    unit sequence at three or more threads. *)
+val bottleneck_split : int array -> int -> int array
+
 (** Expose the SCC stage split for inspection: [(scc_members, stage)]. *)
 val stages :
   ?n_threads:int ->

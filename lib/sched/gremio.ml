@@ -201,46 +201,13 @@ let partition ?(n_threads = 2) pdg profile =
       | None -> (Hashtbl.create 1, 0)
     end
     else begin
-      (* Bottleneck DP over durations (communication ignored for the cut
-         choice, still reflected by [eval]). *)
-      let durs = Array.map (fun u -> u.dur) arr in
-      let prefix = Array.make (n + 1) 0 in
-      for i = 0 to n - 1 do
-        prefix.(i + 1) <- prefix.(i) + durs.(i)
-      done;
-      let seg i j = prefix.(j) - prefix.(i) in
-      let inf = max_int / 2 in
-      let dp = Array.make_matrix (n + 1) (n_threads + 1) inf in
-      let choice = Array.make_matrix (n + 1) (n_threads + 1) 0 in
-      dp.(0).(0) <- 0;
-      for j = 1 to n do
-        for c = 1 to min n_threads j do
-          for i = c - 1 to j - 1 do
-            if dp.(i).(c - 1) < inf then begin
-              let v = max dp.(i).(c - 1) (seg i j) in
-              if v < dp.(j).(c) then begin
-                dp.(j).(c) <- v;
-                choice.(j).(c) <- i
-              end
-            end
-          done
-        done
-      done;
-      let best_c = ref 1 in
-      for c = 2 to n_threads do
-        if dp.(n).(c) < dp.(n).(!best_c) then best_c := c
-      done;
-      let assign = Hashtbl.create 32 in
-      let rec fill j c =
-        if c >= 1 then begin
-          let i = choice.(j).(c) in
-          for x = i to j - 1 do
-            Hashtbl.replace assign arr.(x).uid (c - 1)
-          done;
-          fill i (c - 1)
-        end
+      (* DSWP's bottleneck DP over durations (communication ignored for
+         the cut choice, still reflected by [eval]). *)
+      let chunk =
+        Dswp.bottleneck_split (Array.map (fun u -> u.dur) arr) n_threads
       in
-      fill n !best_c;
+      let assign = Hashtbl.create 32 in
+      Array.iteri (fun i u -> Hashtbl.replace assign u.uid chunk.(i)) arr;
       (assign, eval units assign)
     end
   in

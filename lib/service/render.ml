@@ -316,40 +316,28 @@ let check_text ?cache ~technique ~coco ~threads text =
 
 (* ------------------------------ sweep ------------------------------ *)
 
+(* Each task partitions once for its thread count and builds both of
+   its ±COCO cells from that partition; the analysis is shared, read
+   only, by every task. *)
 let sweep ?(jobs = 1) ?fuel ~max_threads (w : W.t) =
   guarded (ref "none") @@ fun () ->
-  let train =
-    Obs.span ~cat:"stage" "req.simulate" (fun () ->
-        Gmt_machine.Interp.run ?fuel
-          ~init_regs:w.W.train.W.regs ~init_mem:w.W.train.W.mem w.W.func
-          ~mem_size:w.W.mem_size)
-  in
-  if train.Gmt_machine.Interp.fuel_exhausted then
-    raise (Timeout (w.W.name ^ "/train"));
-  let profile = train.Gmt_machine.Interp.profile in
-  let pdg = Gmt_pdg.Pdg.build w.W.func in
+  let st, image = reference_stage ?fuel w in
+  let compile f = Obs.span ~cat:"stage" "req.compile" f in
+  let an = compile (fun () -> V.analyze w) in
   let cell n () =
-    let part = Gmt_sched.Gremio.partition ~n_threads:n pdg profile in
-    let measure plan =
-      let mtp = Gmt_mtcg.Mtcg.generate pdg part plan in
-      let r =
-        Gmt_machine.Mt_interp.run ?fuel
-          ~init_regs:w.W.reference.W.regs ~init_mem:w.W.reference.W.mem mtp
-          ~queue_capacity:32 ~mem_size:w.W.mem_size
+    let pt = compile (fun () -> V.partition ~n_threads:n V.Gremio an) in
+    let comm coco =
+      let c = compile (fun () -> V.codegen ~coco pt) in
+      let m =
+        Obs.span ~cat:"stage" "req.simulate" (fun () ->
+            V.measure ?fuel ~expect:(image, st.V.dyn_instrs) c)
       in
-      if r.Gmt_machine.Mt_interp.deadlocked then
-        raise
-          (V.Deadlock
-             (String.concat "\n"
-                (Printf.sprintf "%s: deadlock at %d threads" w.W.name n
-                :: r.Gmt_machine.Mt_interp.blocked)));
-      if r.Gmt_machine.Mt_interp.fuel_exhausted then
+      if m.V.fuel_exhausted then
         raise (Timeout (Printf.sprintf "%s/sweep@%d" w.W.name n));
-      Gmt_machine.Mt_interp.total_comm r
+      m.V.comm_instrs
     in
-    let base = measure (Gmt_mtcg.Mtcg.baseline_plan pdg part) in
-    let coco = measure (fst (Gmt_coco.Coco.optimize pdg part profile)) in
-    (n, base, coco)
+    let base = comm false in
+    (n, base, comm true)
   in
   let cells =
     Pool.run_list ~jobs

@@ -135,7 +135,15 @@ val check_text :
   string ->
   outcome
 
-(** [gmtc sweep]: communication across thread counts [2..max_threads]. *)
+(** [gmtc sweep]: GREMIO's communication with and without COCO at each
+    thread count [k] in [2..max_threads]. It runs {!run}'s reference
+    stage first, then one {!V.analyze}, then one task per [k] on a pool
+    of [jobs] domains: one {!V.partition} into [k] threads feeding both
+    of its ±COCO cells. Every cell is compiled and verified as {!run}'s
+    is, simulated on the [k]-core machine, and its final memory checked
+    against the reference image. [fuel] bounds each simulation's cycles;
+    a cell that exhausts it reports [<name>/sweep@<k>] with
+    {!exit_timeout}. The table is the same for every [jobs]. *)
 val sweep :
   ?jobs:int ->
   ?fuel:int ->

@@ -114,8 +114,11 @@ let test_version_bump () =
    bump the version and re-pin here, or a warm cache would keep serving
    the old code. The digest is the MD5 of every Fig-8 multi-threaded
    cell's [Cache.encode_entry], in matrix order: the suite's kernels,
-   each as GREMIO, GREMIO+COCO, DSWP, DSWP+COCO. *)
+   each as GREMIO, GREMIO+COCO, DSWP, DSWP+COCO. The second pin digests
+   the same cells at three and then four threads, kernel by kernel: the
+   code [gmtc sweep] and GREMIO's k-way cut produce. *)
 let output_pins = [ (3, "51332fc24f46dfd3e37dcd01b7647e71") ]
+let output_pins_k34 = [ (3, "314465b03d00a44628cf895e002e1d8f") ]
 
 let mt_cells =
   [ (V.Gremio, false); (V.Gremio, true); (V.Dswp, false); (V.Dswp, true) ]
@@ -135,14 +138,15 @@ let output_digest row =
     (Digest.string
        (String.concat "" (List.concat_map row (Suite.all ()))))
 
+let pin_of pins =
+  match List.assoc_opt Fingerprint.format_version pins with
+  | Some d -> d
+  | None ->
+    Alcotest.failf "no output pin for format_version %d"
+      Fingerprint.format_version
+
 let test_output_pin () =
-  let pinned =
-    match List.assoc_opt Fingerprint.format_version output_pins with
-    | Some d -> d
-    | None ->
-      Alcotest.failf "no output pin for format_version %d"
-        Fingerprint.format_version
-  in
+  let pinned = pin_of output_pins in
   Alcotest.(check string) "44 cells, one compile each" pinned
     (output_digest (fun w ->
          List.map
@@ -159,7 +163,17 @@ let test_output_pin () =
          List.map
            (fun (technique, coco) ->
              encode_cell (V.codegen ~coco (List.assoc technique parts)))
-           mt_cells))
+           mt_cells));
+  Alcotest.(check string) "88 cells at 3 and 4 threads"
+    (pin_of output_pins_k34)
+    (output_digest (fun w ->
+         List.concat_map
+           (fun n_threads ->
+             List.map
+               (fun (technique, coco) ->
+                 encode_cell (V.compile ~n_threads ~coco technique w))
+               mt_cells)
+           [ 3; 4 ]))
 
 (* --------------------------- disk store ---------------------------- *)
 

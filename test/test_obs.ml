@@ -233,8 +233,8 @@ let test_stall_attr_sums_to_cycles () =
 
    The measured cell executes its program once: one [sim.run] span and
    no interpreter span. The MT interpreter is off the measurement path
-   but still serves [sweep] and the fuzzer, so it keeps the same guard,
-   run under a span of its own. *)
+   but still serves the fuzzer's schedule explorer, so it keeps the same
+   guard, run under a span of its own. *)
 let test_run_alloc_bounded () =
   with_reset @@ fun () ->
   let w = Suite.find "ks" in

@@ -871,6 +871,77 @@ let test_request_keys () =
   Alcotest.(check (option string)) "a sweep has no cell key" None
     (fst (keys (sweep 4)))
 
+(* ------------------------------ sweep ------------------------------ *)
+
+(* The table's rows as (threads, comm without COCO, comm with COCO). *)
+let sweep_rows (o : Render.outcome) =
+  List.filter_map
+    (fun row ->
+      match List.map String.trim (String.split_on_char '|' row) with
+      | [ k; base; coco; _ ] -> (
+        match (int_of_string_opt k, int_of_string_opt base) with
+        | Some k, Some base -> Some (k, base, int_of_string coco)
+        | _ -> None)
+      | _ -> None)
+    (String.split_on_char '\n' o.Render.out)
+
+(* A sweep cell is a run cell: each row's counts are what [V.measure]
+   reads off the cell [V.compile] builds at that thread count, and a
+   daemon serves the offline outcome byte for byte. *)
+let test_sweep_cells () =
+  let sweeps =
+    List.map
+      (fun name ->
+        let w = workload name in
+        (w, Render.sweep ~max_threads:4 w))
+      [ "ks"; "177.mesa" ]
+  in
+  List.iter
+    (fun ((w : W.t), o) ->
+      Alcotest.(check int) (w.W.name ^ " exit") 0 o.Render.code;
+      let rows = sweep_rows o in
+      Alcotest.(check (list int))
+        (w.W.name ^ " thread counts") [ 2; 3; 4 ]
+        (List.map (fun (k, _, _) -> k) rows);
+      List.iter
+        (fun (k, base, coco_comm) ->
+          let comm coco =
+            (V.measure (V.compile ~n_threads:k ~coco V.Gremio w)).V.comm_instrs
+          in
+          let label = Printf.sprintf "%s@%d" w.W.name k in
+          Alcotest.(check int) (label ^ " comm(MTCG)") (comm false) base;
+          Alcotest.(check int) (label ^ " comm(+COCO)") (comm true) coco_comm)
+        rows)
+    sweeps;
+  with_server @@ fun srv ->
+  List.iter
+    (fun ((w : W.t), offline) ->
+      let o =
+        request_ok ~socket:(Server.socket srv)
+          (Client.sweep_request ~gmt:(Text.print w) ~max_threads:4 ())
+      in
+      check_outcome (w.W.name ^ " served sweep") offline o)
+    sweeps
+
+(* A cell's metric keys name its thread count when it is not 2, so the
+   two GREMIO cells of a sweep to 3 threads file their simulations under
+   two keys, each holding its own cell's cycles. *)
+let test_sweep_metric_keys () =
+  let w = workload "ks" in
+  let at2, at3 =
+    Fun.protect ~finally:Obs.reset @@ fun () ->
+    Obs.enable_metrics ();
+    let o = Render.sweep ~max_threads:3 w in
+    Alcotest.(check int) "sweep exit" 0 o.Render.code;
+    ( Obs.Metrics.get "sim.ks/gremio.cycles",
+      Obs.Metrics.get "sim.ks/gremio@3.cycles" )
+  in
+  let cycles n_threads =
+    (V.measure (V.compile ~n_threads V.Gremio w)).V.cycles
+  in
+  Alcotest.(check int) "sim.ks/gremio.cycles" (cycles 2) at2;
+  Alcotest.(check int) "sim.ks/gremio@3.cycles" (cycles 3) at3
+
 (* ------------------------------ ping ------------------------------- *)
 
 let test_ping () =
@@ -903,4 +974,8 @@ let tests =
     Alcotest.test_case "ping" `Quick test_ping;
     Alcotest.test_case "one worker: idle connection does not stall" `Quick
       test_jobs1_idle_connection;
+    Alcotest.test_case "sweep cells are run cells, offline and served" `Quick
+      test_sweep_cells;
+    Alcotest.test_case "sweep metric keys per thread count" `Quick
+      test_sweep_metric_keys;
   ]
