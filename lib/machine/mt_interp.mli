@@ -8,18 +8,18 @@
 
     It explores schedules for the fuzzer and serves the tests; every
     measured program, [gmtc sweep]'s cells included, takes its counts
-    from {!Sim} instead, and tests pin the two to each other. *)
+    from {!Sim} instead, and tests pin the two to each other under both
+    schedulers.
+
+    It has one inner loop, which steps a thread by walking its current
+    block's instruction list: the plainest statement of the semantics
+    the scheduler explores. It is on no measurement path, and a step
+    allocates nothing, so a run's allocation is its memory image and
+    per-thread state. *)
 
 open Gmt_ir
 
 type sched = Round_robin | Random of int  (** seed *)
-
-(** Inner-loop implementation. [`Jit] (the default) compiles each
-    instruction once into a closure that executes, advances and reports
-    progress; [`Legacy] re-walks the IR lists and is the test oracle.
-    Both produce identical results for every scheduler — enforced by
-    QCheck properties in [test_simkernel]. *)
-type engine = [ `Jit | `Legacy ]
 
 type thread_stats = {
   dyn_instrs : int;       (** everything executed, communication included *)
@@ -50,7 +50,6 @@ val run :
   ?sched:sched ->
   ?init_regs:(Reg.t * int) list ->
   ?init_mem:(int * int) list ->
-  ?engine:engine ->
   Mtprog.t ->
   queue_capacity:int ->
   mem_size:int ->

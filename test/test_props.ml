@@ -289,10 +289,46 @@ let prop_dataflow_points =
       Reaching.holds cfg queries && Live.holds cfg queries
       && Safe.holds cfg queries)
 
+(* The train profile COCO's min-cuts read is a flow. A completed run
+   enters every block along its counted in-edges (the entry block once
+   more, at the start) and leaves it along its counted out-edges, over
+   distinct successors, unless it returns; the counts also account for
+   every instruction the run executed. *)
+let prop_interp_profile_flow =
+  QCheck.Test.make ~count:100 ~name:"interp profile is a flow"
+    arbitrary_case
+    (fun (stmts, _seed, _n_threads) ->
+      let f = lower stmts in
+      let r = Interp.run ~init_regs ~init_mem ~fuel:200_000 f ~mem_size in
+      r.Interp.fuel_exhausted
+      ||
+      let module P = Gmt_analysis.Profile in
+      let cfg = f.Func.cfg and p = r.Interp.profile in
+      let sum_over labels count =
+        List.fold_left (fun acc l -> acc + count l) 0
+          (List.sort_uniq compare labels)
+      in
+      let flows b =
+        let n = P.block p b in
+        n
+        = Bool.to_int (b = Cfg.entry cfg)
+          + sum_over (Cfg.preds cfg b) (fun s -> P.edge p ~src:s ~dst:b)
+        &&
+        match (Cfg.terminator cfg b).Instr.op with
+        | Instr.Return -> true
+        | _ -> n = sum_over (Cfg.succs cfg b) (fun d -> P.edge p ~src:b ~dst:d)
+      in
+      let labels = List.init (Cfg.n_blocks cfg) Fun.id in
+      List.for_all flows labels
+      && sum_over labels (fun b ->
+             P.block p b * List.length (Cfg.body cfg b))
+         = r.Interp.dyn_instrs)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_mtcg_equivalent;
     QCheck_alcotest.to_alcotest prop_coco_equivalent_and_cheaper;
     QCheck_alcotest.to_alcotest prop_dswp_partition_equivalent;
     QCheck_alcotest.to_alcotest prop_dataflow_points;
+    QCheck_alcotest.to_alcotest prop_interp_profile_flow;
   ]
