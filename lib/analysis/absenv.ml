@@ -310,7 +310,7 @@ module Engine = struct
   include Absint.Make (Dom)
 end
 
-let analyze ?widen_delay ?narrow_rounds (f : Func.t) =
+let analyze (f : Func.t) =
   let regs =
     Array.init f.Func.n_regs (fun _ ->
         { v = { top_val with uninit = true }; cmp = None })
@@ -324,4 +324,4 @@ let analyze ?widen_delay ?narrow_rounds (f : Func.t) =
         })
     f.Func.live_in;
   let entry = Env { regs; qbal = Imap.empty } in
-  Engine.solve ?widen_delay ?narrow_rounds ~entry f
+  Engine.solve ~entry f

@@ -13,6 +13,11 @@ module type DOMAIN = sig
   val assume : Instr.t -> int -> t -> t
 end
 
+(* Visits a widening point joins before it widens, and the bound on the
+   descending iteration. *)
+let widen_delay = 2
+let narrow_rounds = 2
+
 module Make (D : DOMAIN) = struct
   type result = {
     f : Func.t;
@@ -45,7 +50,7 @@ module Make (D : DOMAIN) = struct
         |> fst)
       acc (Cfg.preds cfg b)
 
-  let solve ?(widen_delay = 2) ?(narrow_rounds = 2) ~entry f =
+  let solve ~entry f =
     let cfg = f.Func.cfg in
     let n = Cfg.n_blocks cfg in
     let entry_l = Cfg.entry cfg in

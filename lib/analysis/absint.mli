@@ -43,10 +43,9 @@ module Make (D : DOMAIN) : sig
   type result
 
   (** [solve ~entry f] — [entry] is the abstract state at function entry.
-      [widen_delay] visits are allowed before widening kicks in (default
-      2); [narrow_rounds] bounds the descending iteration (default 2). *)
-  val solve :
-    ?widen_delay:int -> ?narrow_rounds:int -> entry:D.t -> Func.t -> result
+      A widening point joins on its first 2 visits and widens from the
+      third; the descending (narrowing) iteration runs at most 2 rounds. *)
+  val solve : entry:D.t -> Func.t -> result
 
   (** Abstract state at a block's start; bottom for unreachable blocks. *)
   val block_in : result -> Instr.label -> D.t

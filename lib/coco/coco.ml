@@ -17,8 +17,10 @@ type stats = {
 
 type spec = Comm.payload * int * int * Comm.point
 
-let optimize ?(control_penalty = true) ?(max_iterations = 10) pdg partition
-    profile =
+(* Bound on Algorithm 2's repeat-until loop. *)
+let max_iterations = 10
+
+let optimize ?(control_penalty = true) pdg partition profile =
   let f = Pdg.func pdg in
   let cfg = f.Func.cfg in
   let cd = Controldep.compute f in

@@ -17,10 +17,12 @@ type stats = {
 
 val optimize :
   ?control_penalty:bool ->
-  ?max_iterations:int ->
   Gmt_pdg.Pdg.t ->
   Gmt_sched.Partition.t ->
   Gmt_analysis.Profile.t ->
   Gmt_mtcg.Mtcg.plan * stats
 (** [control_penalty] defaults to [true]; disabling it gives the ablation
-    where equal-cost cuts may drag extra branches into target threads. *)
+    where equal-cost cuts may drag extra branches into target threads.
+    The repeat-until loop stops when an iteration places exactly what
+    the previous one placed, and after 10 iterations at most; the last
+    iteration's placements are the plan. *)

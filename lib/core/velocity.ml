@@ -30,7 +30,6 @@ type compiled = {
   workload : Workload.t;
   technique : technique;
   coco : bool;
-  prune : bool;
   n_threads : int;
   pdg : Pdg.t;
   partition : Partition.t;
@@ -56,7 +55,7 @@ let verify_compiled c =
       Verify.run
         ~max_queues:(machine_config c.technique).Config.n_queues
         ~queue_of:c.queues.Queue_alloc.queue_of
-        ?prune_mem:(if c.prune then Some c.workload.Workload.mem_size else None)
+        ~prune_mem:c.workload.Workload.mem_size
         ~pdg:c.pdg ~partition:c.partition ~plan:c.plan ~origin:c.origin c.mtp)
 
 (* The per-program stage: every product of a workload that no technique
@@ -65,11 +64,9 @@ type analysis = {
   an_workload : Workload.t;  (* after the optional opt pipeline *)
   an_profile : Gmt_analysis.Profile.t;
   an_pdg : Pdg.t;
-  an_prune : bool;
 }
 
-let analyze ?(profile_mode = `Train) ?(disambiguate_offsets = false)
-    ?(prune = true) ?(optimize = false) (w : Workload.t) =
+let analyze ?(profile_mode = `Train) ?(optimize = false) (w : Workload.t) =
   Obs.span "validate" (fun () -> Validate.check w.func);
   let w =
     if optimize then
@@ -92,12 +89,8 @@ let analyze ?(profile_mode = `Train) ?(disambiguate_offsets = false)
             failwith (w.name ^ ": train run exhausted fuel");
           r.Interp.profile)
   in
-  let pdg =
-    Pdg.build ~disambiguate_offsets
-      ?prune_mem:(if prune then Some w.mem_size else None)
-      w.func
-  in
-  { an_workload = w; an_profile = profile; an_pdg = pdg; an_prune = prune }
+  let pdg = Pdg.build ~prune_mem:w.mem_size w.func in
+  { an_workload = w; an_profile = profile; an_pdg = pdg }
 
 (* The per-technique stage: one partition of an analysis. *)
 type partitioned = {
@@ -128,7 +121,7 @@ let partition ?(n_threads = 2) technique an =
 
 (* The per-cell stage: communication placement, code generation and its
    checks, from a partition it only reads. *)
-let codegen ?(coco = false) ?(cleanup = true) ?(verify = true) pt =
+let codegen ?(coco = false) ?(verify = true) pt =
   let an = pt.pt_analysis and technique = pt.pt_technique in
   let w = an.an_workload and pdg = an.an_pdg and partition = pt.pt_partition in
   let label = mt_label w.name technique coco pt.pt_n_threads in
@@ -176,17 +169,14 @@ let codegen ?(coco = false) ?(cleanup = true) ?(verify = true) pt =
         Mtcg.generate_with_origin ~queues pdg partition plan)
   in
   let mtp =
-    if cleanup then
-      Obs.span "opt.cleanup" (fun () -> Gmt_opt.Opt.cleanup_threads mtp)
-    else mtp
+    Obs.span "opt.cleanup" (fun () -> Gmt_opt.Opt.cleanup_threads mtp)
   in
   let limit = (machine_config technique).Config.n_queues in
   Obs.span "validate.threads" (fun () ->
       Array.iter (Validate.check ~n_queues:limit) mtp.Mtprog.threads);
   let c =
-    { workload = w; technique; coco; prune = an.an_prune;
-      n_threads = pt.pt_n_threads; pdg; partition; plan; queues; origin; mtp;
-      coco_stats }
+    { workload = w; technique; coco; n_threads = pt.pt_n_threads; pdg;
+      partition; plan; queues; origin; mtp; coco_stats }
   in
   if verify then begin
     match verify_compiled c with
@@ -203,13 +193,12 @@ let compile_span name technique coco n_threads f =
     ~args:[ ("cell", Obs.S (mt_label name technique coco n_threads)) ]
     "compile" f
 
-let compile ?(n_threads = 2) ?(coco = false) ?profile_mode
-    ?disambiguate_offsets ?prune ?optimize ?cleanup ?verify technique
-    (w : Workload.t) =
+let compile ?(n_threads = 2) ?(coco = false) ?profile_mode ?optimize ?verify
+    technique (w : Workload.t) =
   compile_span w.name technique coco n_threads @@ fun () ->
-  analyze ?profile_mode ?disambiguate_offsets ?prune ?optimize w
+  analyze ?profile_mode ?optimize w
   |> partition ~n_threads technique
-  |> codegen ~coco ?cleanup ?verify
+  |> codegen ~coco ?verify
 
 type artifact = {
   a_workload : Workload.t;

@@ -29,7 +29,6 @@ type compiled = {
   workload : Workload.t;
   technique : technique;
   coco : bool;
-  prune : bool;  (** PDG memory-arc pruning was enabled for this compile *)
   n_threads : int;
   pdg : Gmt_pdg.Pdg.t;
   partition : Gmt_sched.Partition.t;
@@ -66,16 +65,11 @@ val verify_compiled : compiled -> Gmt_verify.Verify.diagnostic list
     profile and its PDG. *)
 type analysis
 
-(** The per-program stage; [profile_mode], [disambiguate_offsets],
-    [prune] and [optimize] are {!compile}'s.
+(** The per-program stage; [profile_mode] and [optimize] are
+    {!compile}'s. The PDG is always pruned (see {!compile}).
     @raise Failure when the train run exhausts its fuel. *)
 val analyze :
-  ?profile_mode:[ `Train | `Static ] ->
-  ?disambiguate_offsets:bool ->
-  ?prune:bool ->
-  ?optimize:bool ->
-  Workload.t ->
-  analysis
+  ?profile_mode:[ `Train | `Static ] -> ?optimize:bool -> Workload.t -> analysis
 
 (** One technique's partition of an {!analysis}, with the analysis it
     came from. *)
@@ -85,14 +79,14 @@ type partitioned
     @raise Failure when the partitioner returns an invalid partition. *)
 val partition : ?n_threads:int -> technique -> analysis -> partitioned
 
-(** The per-cell stage; [coco], [cleanup] and [verify] are {!compile}'s.
+(** The per-cell stage; [coco] and [verify] are {!compile}'s, and the
+    generated threads are always cleaned up (see {!compile}).
     Per-cell metric keys ([partition.<cell>.*], [coco.<cell>.*],
     [mtcg.<cell>.queues]) are recorded here. A cell is named
     [<workload>/<technique>[+coco]], with [@<k>] appended at a thread
     count [k] other than 2, as in its [sim.<cell>.*] keys.
     @raise Failure when verification rejects the generated code. *)
-val codegen :
-  ?coco:bool -> ?cleanup:bool -> ?verify:bool -> partitioned -> compiled
+val codegen : ?coco:bool -> ?verify:bool -> partitioned -> compiled
 
 (** Compile a workload: {!analyze}, then {!partition}, then {!codegen},
     inside one [compile] span.
@@ -103,19 +97,16 @@ val codegen :
     the paper notes static estimates "have been demonstrated to be also
     very accurate" [28].
 
-    [disambiguate_offsets] (default false) enables the loop-invariant
-    base + distinct-offset memory disambiguation extension.
-
-    [prune] (default true) builds the PDG with
-    [Pdg.build ~prune_mem:mem_size]: the {!Gmt_analysis.Memdis}
-    abstract-interpretation disambiguator drops memory arcs between
-    accesses with provably disjoint address sets, and {!Gmt_verify}'s
-    race analysis independently re-proves each exclusion.
+    The PDG is always built with [Pdg.build ~prune_mem:mem_size]: the
+    {!Gmt_analysis.Memdis} abstract-interpretation disambiguator drops
+    memory arcs between accesses with provably disjoint address sets,
+    and verification ({!verify_compiled}) independently re-proves each
+    exclusion. The generated thread CFGs are always cleaned up
+    (jump-threaded and pruned).
 
     [optimize] (default false) runs the classical pre-pass pipeline
     (constant folding, copy propagation, DCE, CFG simplification) before
-    scheduling, as the paper's compiler does. [cleanup] (default true)
-    jump-threads and prunes the generated thread CFGs.
+    scheduling, as the paper's compiler does.
 
     [verify] (default true) runs the {!Gmt_verify.Verify} translation
     validator on the generated program and fails the compile with its
@@ -125,10 +116,7 @@ val compile :
   ?n_threads:int ->
   ?coco:bool ->
   ?profile_mode:[ `Train | `Static ] ->
-  ?disambiguate_offsets:bool ->
-  ?prune:bool ->
   ?optimize:bool ->
-  ?cleanup:bool ->
   ?verify:bool ->
   technique ->
   Workload.t ->
