@@ -12,8 +12,11 @@
      compile — Bechamel micro-benchmarks of compilation-phase costs
                (supporting the paper's claim that COCO's min-cuts do not
                meaningfully lengthen compilation)
-     ablate  — extensions: 4-thread communication reduction, COCO without
-               control-flow penalties
+     ablate  — extensions: static profile estimates, offset
+               disambiguation, pre-pass optimizations, 4-thread
+               communication reduction (COCO without control-flow
+               penalties is test_coco's Fig-5 tests: the workload
+               suite's min-cuts have no cost ties)
      fuzz    — corpus-driven differential fuzz: gmt_verify verdicts
                cross-checked against MT-interpreter equivalence on every
                technique cell, plus a seeded-miscompile detection pass
@@ -512,23 +515,6 @@ let train_profile (w : W.t) =
      w.W.func ~mem_size:w.W.mem_size)
     .Gmt_machine.Interp.profile
 
-let comm_of_plan (w : W.t) ~n_threads ~coco ~control_penalty =
-  let profile = train_profile w in
-  let pdg = Gmt_pdg.Pdg.build w.W.func in
-  let part = Gmt_sched.Gremio.partition ~n_threads pdg profile in
-  let plan =
-    if coco then fst (Gmt_coco.Coco.optimize ~control_penalty pdg part profile)
-    else Gmt_mtcg.Mtcg.baseline_plan pdg part
-  in
-  let mtp = Gmt_mtcg.Mtcg.generate pdg part plan in
-  let mt =
-    Gmt_machine.Mt_interp.run ~init_regs:w.W.reference.W.regs
-      ~init_mem:w.W.reference.W.mem mtp ~queue_capacity:32
-      ~mem_size:w.W.mem_size
-  in
-  if mt.Gmt_machine.Mt_interp.deadlocked then failwith "deadlock";
-  Gmt_machine.Mt_interp.total_comm mt
-
 let ablate () =
   print_endline "";
   print_endline
@@ -592,28 +578,6 @@ let ablate () =
       | V.Deadlock msg ->
         Printf.printf "%-12s | deadlock: %s\n" w.W.name
           (List.hd (String.split_on_char '\n' msg)))
-    (Suite.all ());
-  print_endline "";
-  print_endline
-    "Ablation: COCO without control-flow penalties (Sec 3.1.2), GREMIO";
-  hr ();
-  Printf.printf "%-12s | %16s | %16s\n" "benchmark" "comm w/ penalty"
-    "comm w/o penalty";
-  List.iter
-    (fun (w : W.t) ->
-      try
-        let with_p =
-          comm_of_plan w ~n_threads:2 ~coco:true ~control_penalty:true
-        in
-        let without =
-          comm_of_plan w ~n_threads:2 ~coco:true ~control_penalty:false
-        in
-        Printf.printf "%-12s | %16d | %16d\n" w.W.name with_p without
-      with
-      | Failure m -> Printf.printf "%-12s | failed: %s\n" w.W.name m
-      | V.Deadlock m ->
-        Printf.printf "%-12s | deadlock: %s\n" w.W.name
-          (List.hd (String.split_on_char '\n' m)))
     (Suite.all ());
   print_endline "";
   print_endline
