@@ -1,20 +1,13 @@
-(** Structured JSONL event log: severity, sampling, bounded ring.
+(** Structured JSONL event log: severity, bounded ring.
 
     Every event renders as one JSON line
     [{"ts": …, "severity": "warn", "kind": "cache.corrupt", …fields}]
-    and lands in a bounded in-process ring buffer (oldest dropped
-    first); an optional sink additionally receives each kept line the
-    moment it is emitted — the daemon points it at stderr so degraded
-    states (evictions, corrupt-entry recoveries, fallbacks, drain) are
-    visible in the log, not just in post-mortem queries.
-
-    {2 Sampling}
-
-    High-rate [Debug]/[Info] kinds can be decimated with
-    {!set_sample_every}: after the first occurrence, only every Nth
-    event of a kind is kept. [Warn] and [Error] events are never
-    sampled away. {!emitted} always counts every emission of a kind,
-    kept or not, so rates stay measurable under sampling.
+    and lands in an in-process ring of the last 256 lines (oldest
+    dropped first); an optional sink additionally receives each line
+    the moment it is emitted — the daemon points it at stderr so
+    degraded states (evictions, corrupt-entry recoveries, fallbacks,
+    drain) are visible in the log, not just in post-mortem queries.
+    Every event is kept: the daemon emits them only on such states.
 
     State is process-global (like {!Gmt_obs.Obs}); {!reset} restores
     defaults between tests. *)
@@ -29,22 +22,12 @@ val severity_name : severity -> string
 val emit :
   ?severity:severity -> kind:string -> (string * Gmt_obs.Json.t) list -> unit
 
-(** Keep 1 in [n] [Debug]/[Info] events per kind ([1] = keep all, the
-    default). Values [< 1] clamp to 1. *)
-val set_sample_every : int -> unit
-
-(** Ring capacity (default 256). Resizing clears the ring. *)
-val set_capacity : int -> unit
-
-(** Kept lines, oldest first. Each parses as one JSON object. *)
+(** Kept lines, oldest first: the last 256 emitted. Each parses as one
+    JSON object. *)
 val recent : unit -> string list
 
-(** Total emissions of a kind, before sampling. *)
-val emitted : kind:string -> int
-
-(** Sink for kept lines (e.g. [prerr_endline]); [None] disables. *)
+(** Sink for emitted lines (e.g. [prerr_endline]); [None] disables. *)
 val set_sink : (string -> unit) option -> unit
 
-(** Drop all events and counters, restore default capacity/sampling,
-    disable the sink. *)
+(** Drop all events and disable the sink. *)
 val reset : unit -> unit

@@ -176,7 +176,7 @@ let test_rolling_peak () =
 
 (* ------------------------------ events ------------------------------ *)
 
-let test_events_ring_and_sampling () =
+let test_events_ring () =
   Events.reset ();
   Fun.protect ~finally:Events.reset @@ fun () ->
   Events.emit ~kind:"test.a" [ ("n", Json.Num 1.0) ];
@@ -192,37 +192,23 @@ let test_events_ring_and_sampling () =
         Alcotest.(check bool) "has kind" true (List.mem_assoc "kind" fields)
       | _ -> Alcotest.fail ("event line is not a JSON object: " ^ l))
     lines;
-  (* Sampling: keep 1 in 3 Info events, but count all of them; warns
-     are exempt. *)
+  (* Bounded ring: 260 events overflow its 256 lines by 4, and the
+     oldest fall off. *)
   Events.reset ();
-  Events.set_sample_every 3;
-  for _ = 1 to 9 do
-    Events.emit ~kind:"noisy" []
-  done;
-  for _ = 1 to 4 do
-    Events.emit ~severity:Events.Warn ~kind:"alarm" []
-  done;
-  Alcotest.(check int) "emitted counts all" 9 (Events.emitted ~kind:"noisy");
-  let kept kind =
-    List.length
-      (List.filter
-         (fun l ->
-           match Json.parse l with
-           | Ok j -> Json.member "kind" j = Some (Json.Str kind)
-           | Error _ -> false)
-         (Events.recent ()))
-  in
-  Alcotest.(check int) "1-in-3 kept" 3 (kept "noisy");
-  Alcotest.(check int) "warns never sampled" 4 (kept "alarm");
-  (* Bounded ring: oldest lines fall off. *)
-  Events.reset ();
-  Events.set_capacity 4;
-  for i = 1 to 10 do
+  for i = 1 to 260 do
     Events.emit ~kind:(Printf.sprintf "k%d" i) []
   done;
-  Alcotest.(check int) "ring bounded" 4 (List.length (Events.recent ()));
-  Alcotest.(check int) "oldest dropped" 1 (kept "k7");
-  Alcotest.(check int) "newest kept" 1 (kept "k10")
+  let kinds =
+    List.map
+      (fun l ->
+        match Json.parse l with
+        | Ok j -> Json.member "kind" j
+        | Error _ -> None)
+      (Events.recent ())
+  in
+  let newest = List.init 256 (fun i -> Printf.sprintf "k%d" (i + 5)) in
+  Alcotest.(check bool) "newest 256 kept, oldest first" true
+    (kinds = List.map (fun k -> Some (Json.Str k)) newest)
 
 (* ----------------------------- registry ----------------------------- *)
 
@@ -339,8 +325,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_quantile_error;
     Alcotest.test_case "rolling sum window" `Quick test_rolling_sum;
     Alcotest.test_case "rolling peak window" `Quick test_rolling_peak;
-    Alcotest.test_case "event ring + sampling" `Quick
-      test_events_ring_and_sampling;
+    Alcotest.test_case "event ring bounded" `Quick test_events_ring;
     Alcotest.test_case "registry export + prometheus" `Quick
       test_registry_export;
     Alcotest.test_case "span timestamps survive the wire" `Quick
