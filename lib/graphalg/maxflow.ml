@@ -75,13 +75,6 @@ let add_arc t u v cap =
     t.n_arcs <- id + 2;
     id
 
-let remove_arc t id =
-  if id < 0 || id >= t.n_arcs then invalid_arg "Maxflow.remove_arc";
-  t.caps.(id) <- 0;
-  t.caps.(id lxor 1) <- 0;
-  (* Mark deleted so the arc never reappears in a later cut report. *)
-  t.orig.(id) <- -1
-
 let arc_info t id =
   if id < 0 || id >= t.n_arcs then invalid_arg "Maxflow.arc_info";
   (t.tails.(id), t.heads.(id), t.orig.(id))
@@ -168,7 +161,7 @@ let min_cut t ~src ~sink =
      them, or unprofiled paths would escape the cut. *)
   let arcs = ref [] in
   for id = 0 to t.n_arcs - 1 do
-    if id land 1 = 0 && t.orig.(id) >= 0 then begin
+    if id land 1 = 0 then begin
       let u = t.tails.(id) and v = t.heads.(id) in
       if seen.(u) && not seen.(v) then arcs := (u, v, id) :: !arcs
     end

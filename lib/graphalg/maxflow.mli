@@ -34,9 +34,5 @@ type cut = {
     are exactly the arcs from the source side to the sink side. *)
 val min_cut : t -> src:int -> sink:int -> cut
 
-(** [remove_arc t id] sets an arc's capacity to zero (used by the
-    multi-commodity heuristic, which deletes cut arcs between pairs). *)
-val remove_arc : t -> int -> unit
-
 (** Original (capacity-at-creation) endpoints and capacity of an arc. *)
 val arc_info : t -> int -> int * int * int

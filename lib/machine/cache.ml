@@ -100,7 +100,3 @@ let access t ~addr =
 
 let hits t = t.hits
 let misses t = t.misses
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0

@@ -16,4 +16,3 @@ val probe : t -> addr:int -> bool
 
 val hits : t -> int
 val misses : t -> int
-val reset_stats : t -> unit

@@ -100,8 +100,6 @@ let blocks t th = t.block_sets.(th)
 let is_relevant_branch t ~thread ~branch_id =
   Iset.mem branch_id t.branch_sets.(thread)
 
-let is_relevant_block t ~thread l = Iset.mem l t.block_sets.(thread)
-
 let point_relevant t ~thread cfg cd p =
   let ctl =
     match p with

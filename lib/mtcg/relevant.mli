@@ -28,7 +28,6 @@ val branches : t -> int -> Iset.t
 val blocks : t -> int -> Iset.t
 
 val is_relevant_branch : t -> thread:int -> branch_id:int -> bool
-val is_relevant_block : t -> thread:int -> Instr.label -> bool
 
 (** [point_relevant t ~thread cfg cd p] — Definition 2 for point [p]:
     every controlling branch of [p] is relevant to [thread]. For

@@ -25,7 +25,6 @@ let collectors_key : span list ref list Domain.DLS.key =
 
 let enable_tracing () = Atomic.set tracing true
 let enable_metrics () = Atomic.set metrics_on true
-let tracing_enabled () = Atomic.get tracing
 let metrics_enabled () = Atomic.get metrics_on
 
 let recording () =

@@ -46,7 +46,6 @@ type span = {
 
 val enable_tracing : unit -> unit
 val enable_metrics : unit -> unit
-val tracing_enabled : unit -> bool
 val metrics_enabled : unit -> bool
 
 (** True when a span recorded now would be kept (tracing on, or inside a

@@ -265,17 +265,6 @@ let filter_arcs t ~f =
 let func t = t.func
 let arcs t = t.arcs
 
-let arcs_dedup t =
-  let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun a ->
-      if Hashtbl.mem seen (a.src, a.dst) then None
-      else begin
-        Hashtbl.add seen (a.src, a.dst) ();
-        Some (a.src, a.dst)
-      end)
-    t.arcs
-
 let nodes t = t.nodes
 
 let to_digraph t =

@@ -55,10 +55,6 @@ val filter_arcs : t -> f:(arc -> bool) -> t
 val func : t -> Func.t
 val arcs : t -> arc list
 
-(** Arcs, de-duplicated to at most one per (src, dst) pair — the shape used
-    by partitioners that only care about connectivity. *)
-val arcs_dedup : t -> (int * int) list
-
 (** Instruction ids in CFG order. *)
 val nodes : t -> int list
 

@@ -57,14 +57,6 @@ let thread_graph t pdg =
 
 let is_pipeline t pdg = Gmt_graphalg.Topo.is_acyclic (thread_graph t pdg)
 
-let cross_arcs t pdg =
-  List.filter
-    (fun (a : Pdg.arc) ->
-      match (thread_of_opt t a.src, thread_of_opt t a.dst) with
-      | Some ts, Some tt -> ts <> tt
-      | _ -> false)
-    (Pdg.arcs pdg)
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>partition (%d threads):" t.n_threads;
   for th = 0 to t.n_threads - 1 do

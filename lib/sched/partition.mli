@@ -34,7 +34,4 @@ val thread_graph : t -> Gmt_pdg.Pdg.t -> Gmt_graphalg.Digraph.t
 (** True when the thread graph is acyclic (DSWP's pipeline property). *)
 val is_pipeline : t -> Gmt_pdg.Pdg.t -> bool
 
-(** PDG arcs crossing threads under this partition. *)
-val cross_arcs : t -> Gmt_pdg.Pdg.t -> Gmt_pdg.Pdg.arc list
-
 val pp : Format.formatter -> t -> unit

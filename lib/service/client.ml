@@ -24,10 +24,6 @@ let endpoint_of_string s =
       | _ -> Unix_path s)
     | _ -> Unix_path s
 
-let endpoint_to_string = function
-  | Unix_path p -> p
-  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-
 let connect_timeout = 2.0
 let read_deadline = 60.0
 let retry_backoff = 0.05

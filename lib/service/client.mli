@@ -24,7 +24,6 @@ type error = [ `Busy of string | `No_daemon | `Protocol of string ]
 type endpoint = Unix_path of string | Tcp of string * int
 
 val endpoint_of_string : string -> endpoint
-val endpoint_to_string : endpoint -> string
 
 (** TCP connects run under this deadline (seconds) before the shard is
     declared down. *)

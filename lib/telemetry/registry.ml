@@ -43,7 +43,6 @@ let add c n =
 let counter_value c = Atomic.get c
 let gauge t name = intern t.gauges t name (fun () -> Atomic.make 0)
 let set_gauge g v = Atomic.set g v
-let gauge_value g = Atomic.get g
 
 let window ?slots ?slot_s t kind name =
   intern t.windows t name (fun () -> Rolling.create ?slots ?slot_s kind)

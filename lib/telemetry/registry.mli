@@ -33,7 +33,6 @@ val counter_value : counter -> int
 
 val gauge : t -> string -> gauge
 val set_gauge : gauge -> int -> unit
-val gauge_value : gauge -> int
 
 (** [window t kind name] — rolling window; [slots]/[slot_s] only apply
     on first creation (default: 60 × 1 s). *)
