@@ -1,4 +1,3 @@
-module Obs = Gmt_obs.Obs
 module Json = Gmt_obs.Json
 module Events = Gmt_telemetry.Events
 
@@ -82,7 +81,6 @@ let enforce_capacity t =
     | Some (k, _) ->
       Hashtbl.remove t.mem k;
       t.evictions <- t.evictions + 1;
-      Obs.Metrics.add "cache.evict" 1;
       (* Debug so a thrashing cache can be rate-limited by sampling. *)
       Events.emit ~severity:Events.Debug ~kind:"cache.evict"
         [ ("key", Json.Str k) ]
@@ -119,8 +117,6 @@ let decode s =
 let evict_corrupt ?(reason = "") t key =
   t.corrupt <- t.corrupt + 1;
   t.evictions <- t.evictions + 1;
-  Obs.Metrics.add "cache.corrupt" 1;
-  Obs.Metrics.add "cache.evict" 1;
   Events.emit ~severity:Events.Warn ~kind:"cache.corrupt"
     [ ("key", Json.Str key); ("reason", Json.Str reason) ];
   match entry_path t key with
@@ -133,13 +129,10 @@ let find t key =
   | Some slot ->
     touch t slot;
     t.hits <- t.hits + 1;
-    Obs.Metrics.add "cache.hit" 1;
-    Obs.Metrics.add "cache.hit.mem" 1;
     Some slot.value
   | None -> (
     let miss () =
       t.misses <- t.misses + 1;
-      Obs.Metrics.add "cache.miss" 1;
       None
     in
     match entry_path t key with
@@ -158,8 +151,6 @@ let find t key =
           Hashtbl.replace t.mem key slot;
           enforce_capacity t;
           t.hits <- t.hits + 1;
-          Obs.Metrics.add "cache.hit" 1;
-          Obs.Metrics.add "cache.hit.disk" 1;
           Some e)))
 
 let store t key e =
@@ -169,7 +160,6 @@ let store t key e =
    Hashtbl.replace t.mem key slot;
    enforce_capacity t;
    t.stores <- t.stores + 1;
-   Obs.Metrics.add "cache.store" 1;
    match entry_path t key with
    | None -> ()
    | Some path -> Diskio.write_atomic path (encode e));
@@ -191,7 +181,6 @@ let ingest t key e =
     t.cold_clock <- t.cold_clock - 1;
     Hashtbl.replace t.mem key { value = e; tick = t.cold_clock };
     enforce_capacity t;
-    Obs.Metrics.add "cache.ingest" 1;
     true
   end
 

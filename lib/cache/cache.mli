@@ -4,7 +4,9 @@
     are {!Fingerprint} hex digests; values are serialized multi-threaded
     programs together with their translation-validation verdict and the
     compile-time counts the service reports — a hit skips the whole
-    PDG → partition → MTCG/COCO → verify pipeline.
+    PDG → partition → MTCG/COCO → verify pipeline. The service's
+    [Render] computes every key and builds every {!entry}; the farm
+    only moves encoded entries between shards.
 
     {2 On-disk format}
 
@@ -25,11 +27,12 @@
 
     {2 Counters}
 
-    Every operation updates both the per-cache {!stats} snapshot (always
-    on — tests and the service's [stats] op read it) and the global
-    {!Gmt_obs.Obs.Metrics} registry under [cache.hit], [cache.hit.mem],
-    [cache.hit.disk], [cache.miss], [cache.store], [cache.evict] and
-    [cache.corrupt] (no-ops unless metrics are enabled).
+    {!stats} is the one count of this cache's hits, misses, stores,
+    evictions and corrupt entries: always on, read by the tests and by
+    the daemon's [stats] frame. Nothing is copied into
+    {!Gmt_obs.Obs.Metrics}, which holds the per-run compile and
+    simulation counters; evictions and corrupt entries are also
+    {!Gmt_telemetry.Events}.
 
     All operations are thread-safe (a single mutex per cache). *)
 

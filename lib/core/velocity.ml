@@ -200,75 +200,6 @@ let compile ?(n_threads = 2) ?(coco = false) ?profile_mode ?optimize ?verify
   |> partition ~n_threads technique
   |> codegen ~coco ?verify
 
-type artifact = {
-  a_workload : Workload.t;
-  a_technique : technique;
-  a_coco : bool;
-  a_n_threads : int;
-  a_mtp : Mtprog.t;
-  a_comm_sites : int;
-  a_verified : bool;
-  a_from_cache : bool;
-}
-
-let fingerprint ?(n_threads = 2) ?(coco = false) technique ~canonical =
-  let mc = machine_config ~n_cores:(max 2 n_threads) technique in
-  Gmt_cache.Fingerprint.compute ~text:canonical
-    ~technique:(technique_name technique) ~n_threads ~coco
-    ~machine:(Format.asprintf "%a" Config.pp mc)
-    ()
-
-let compile_store ?cache ?(n_threads = 2) ?(coco = false) ?(verify = true)
-    technique (w : Workload.t) =
-  let c =
-    Obs.span ~cat:"stage" "req.compile" (fun () ->
-        compile ~n_threads ~coco ~verify technique w)
-  in
-  let comm_sites = List.length c.plan.Mtcg.comms in
-  if verify then
-    Option.iter
-      (fun (cch, key) ->
-        Gmt_cache.Cache.store cch key
-          {
-            Gmt_cache.Cache.mtp = c.mtp;
-            comm_sites;
-            verified = verify;
-            w_name = w.Workload.name;
-          })
-      cache;
-  {
-    a_workload = w;
-    a_technique = technique;
-    a_coco = coco;
-    a_n_threads = n_threads;
-    a_mtp = c.mtp;
-    a_comm_sites = comm_sites;
-    a_verified = verify;
-    a_from_cache = false;
-  }
-
-let compile_cached ?cache ?(n_threads = 2) ?(coco = false) ?(verify = true)
-    technique (w : Workload.t) =
-  (* Only verified artifacts are stored, so an unverified compile must
-     not be served from (or written to) the cache. *)
-  let cache = if verify then cache else None in
-  match
-    Obs.span ~cat:"stage" "req.cache.lookup" (fun () ->
-        Option.bind cache (fun (c, key) -> Gmt_cache.Cache.find c key))
-  with
-  | Some e ->
-    {
-      a_workload = w;
-      a_technique = technique;
-      a_coco = coco;
-      a_n_threads = n_threads;
-      a_mtp = e.Gmt_cache.Cache.mtp;
-      a_comm_sites = e.Gmt_cache.Cache.comm_sites;
-      a_verified = e.Gmt_cache.Cache.verified;
-      a_from_cache = true;
-    }
-  | None -> compile_store ?cache ~n_threads ~coco ~verify technique w
-
 type metrics = {
   dyn_instrs : int;
   comm_instrs : int;
@@ -393,8 +324,8 @@ let resolve_oracle ?fuel ?expect w =
 (* Shared measurement core: it reads only the generated program, the
    cell identity and the three things a program's measurement takes
    from its workload (name, reference input, memory size), so a fresh
-   {!compiled}, a cache-reconstructed {!artifact} and a served cell
-   with no parsed workload at all measure through the same code. *)
+   {!compiled} and a served cell with no parsed workload at all measure
+   through the same code. *)
 let measure_prog ?fuel ~oracle ~name ~input ~mem_size ~technique ~coco
     ~n_threads (mtp : Mtprog.t) =
   let label = mt_label name technique coco n_threads in
@@ -426,12 +357,6 @@ let measure ?fuel ?expect c =
     ~oracle:(resolve_oracle ?fuel ?expect c.workload)
     ~technique:c.technique ~coco:c.coco ~n_threads:c.n_threads c.workload
     c.mtp
-
-let measure_artifact ?fuel ?expect (a : artifact) =
-  measure_of ?fuel
-    ~oracle:(resolve_oracle ?fuel ?expect a.a_workload)
-    ~technique:a.a_technique ~coco:a.a_coco ~n_threads:a.a_n_threads
-    a.a_workload a.a_mtp
 
 let measure_single ?fuel ?expect (w : Workload.t) =
   let m, (memory, dyn) = measure_reference ?fuel w in

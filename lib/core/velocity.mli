@@ -10,7 +10,12 @@
     single-threaded cell's simulation is also the oracle: every
     multi-threaded cell's final memory must equal it. The interpreters
     stay off this path; {!Gmt_machine.Interp} only profiles the train
-    input, and tests pin the simulator to both interpreters. *)
+    input, and tests pin the simulator to both interpreters.
+
+    Nothing here caches. A compile is a deterministic function of its
+    program text, technique, thread count and machine, and the gmtd
+    service keys, stores and serves its output in [Gmt_service.Render];
+    this library does not link the artifact cache. *)
 
 open Gmt_ir
 module Workload = Gmt_workloads.Workload
@@ -122,64 +127,6 @@ val compile :
   Workload.t ->
   compiled
 
-(** {2 Cached compilation}
-
-    The compile pipeline is a deterministic function of (canonical
-    GMT-IR text, technique, thread count, machine configuration), which
-    makes its output a content-addressable artifact. {!compile_cached}
-    consults an optional {!Gmt_cache.Cache.t} under a {!fingerprint}
-    the caller computed; a hit skips the whole pipeline {e and}
-    re-verification (the stored verdict rides along), a miss compiles,
-    verifies and stores. *)
-
-(** What a cache hit reconstructs: enough to measure ({!a_mtp}) and to
-    render the [gmtc check]/service reports, without the PDG, partition
-    or plan the full {!compiled} record carries. *)
-type artifact = {
-  a_workload : Workload.t;
-  a_technique : technique;
-  a_coco : bool;
-  a_n_threads : int;
-  a_mtp : Mtprog.t;
-  a_comm_sites : int;  (** communication-plan transfer count *)
-  a_verified : bool;   (** gmt_verify verdict (stored on hit) *)
-  a_from_cache : bool;
-}
-
-(** Cache key for one compilation cell: digests the canonical GMT-IR
-    text ([canonical], normally {!Gmt_frontend.Text.print}) together
-    with the technique, thread count and the {!machine_config} rendering
-    under the cache {!Gmt_cache.Fingerprint.format_version}. *)
-val fingerprint :
-  ?n_threads:int -> ?coco:bool -> technique -> canonical:string -> string
-
-(** [compile_cached ?cache:(c, key) tech w] — with a cache and [verify]
-    (default true), look [key] up first and store the artifact under it
-    after a miss; [key] must be the {!fingerprint} of [w]'s cell.
-    Without a cache (or with [~verify:false], whose output the cache
-    never holds) this is plain {!compile} and hashes nothing.
-    @raise Failure when verification rejects freshly generated code. *)
-val compile_cached :
-  ?cache:Gmt_cache.Cache.t * string ->
-  ?n_threads:int ->
-  ?coco:bool ->
-  ?verify:bool ->
-  technique ->
-  Workload.t ->
-  artifact
-
-(** The miss half of {!compile_cached}: compile, then store the
-    artifact under [key] when given a cache and [verify], without
-    looking [key] up — for a caller that already probed the cache. *)
-val compile_store :
-  ?cache:Gmt_cache.Cache.t * string ->
-  ?n_threads:int ->
-  ?coco:bool ->
-  ?verify:bool ->
-  technique ->
-  Workload.t ->
-  artifact
-
 type metrics = {
   dyn_instrs : int;     (** total dynamic instructions, all threads *)
   comm_instrs : int;    (** produce+consume+sync instructions *)
@@ -226,14 +173,14 @@ val memory_digest : int array -> string
     reference's final image itself, or its {!memory_digest}. *)
 type oracle = Image of int array | Image_digest of string
 
-(** The measurement core under {!measure}, {!measure_artifact} and
-    {!run_matrix}: simulate the generated program of cell
-    [name]/[technique] on [input], the reference input of a program
-    with [mem_size] words of memory, and check its final memory against
-    [oracle] — [None] when the reference ran out of [fuel], which
-    reports the cell [fuel_exhausted]. It reads nothing else of the
-    workload, so a caller holding only those three values, and a digest
-    for an oracle, measures a cell without the parsed program.
+(** The measurement core under {!measure} and {!run_matrix}: simulate
+    the generated program of cell [name]/[technique] on [input], the
+    reference input of a program with [mem_size] words of memory, and
+    check its final memory against [oracle] — [None] when the reference
+    ran out of [fuel], which reports the cell [fuel_exhausted]. It reads
+    nothing else of the workload, so a caller holding only those three
+    values, and a digest for an oracle, measures a cell without the
+    parsed program.
     @raise Failure on divergence.
     @raise Deadlock on deadlock, with a per-thread blocked report. *)
 val measure_prog :
@@ -260,13 +207,6 @@ val measure :
   ?fuel:int ->
   ?expect:int array * int ->
   compiled ->
-  metrics
-
-(** {!measure} for a (possibly cache-reconstructed) {!artifact}. *)
-val measure_artifact :
-  ?fuel:int ->
-  ?expect:int array * int ->
-  artifact ->
   metrics
 
 (** The metrics of {!measure_reference}. With [expect], a completed

@@ -44,7 +44,7 @@ let router t = t.router
    thread count; it routes by the program digest so all sweeps of one
    program warm the same shard. *)
 let compile_key ~technique ~coco ~threads ~canonical =
-  V.fingerprint ~n_threads:threads ~coco technique ~canonical
+  Render.fingerprint ~n_threads:threads ~coco technique ~canonical
 
 let sweep_key ~canonical = Digest.to_hex (Digest.string canonical)
 

@@ -32,44 +32,50 @@ let run ?(fuel = 50_000_000) ?(init_regs = []) ?(init_mem = []) (f : Func.t)
   let set r v = regs.(Reg.to_int r) <- v in
   let dyn = ref 0 in
   let fuel_left = ref fuel in
-  let finished = ref false in
-  let block = ref (Cfg.entry cfg) in
-  (try
-     while not !finished do
-       Profile.bump_block profile !block 1;
-       let body = Cfg.body cfg !block in
-       let next = ref None in
-       List.iter
-         (fun (i : Instr.t) ->
-           if !next = None && not !finished then begin
-             decr fuel_left;
-             if !fuel_left <= 0 then raise Exit;
-             incr dyn;
-             match i.op with
-             | Const (d, k) -> set d k
-             | Copy (d, s) -> set d (get s)
-             | Unop (u, d, s) -> set d (Instr.eval_unop u (get s))
-             | Binop (b, d, x, y) -> set d (Instr.eval_binop b (get x) (get y))
-             | Load (_, d, base, off) ->
-               set d memory.((get base + off) land mask)
-             | Store (_, base, off, s) ->
-               memory.((get base + off) land mask) <- get s
-             | Jump l -> next := Some l
-             | Branch (c, l1, l2) ->
-               next := Some (if get c <> 0 then l1 else l2)
-             | Return -> finished := true
-             | Produce _ | Consume _ | Produce_sync _ | Consume_sync _ ->
-               raise (stuck_comm i)
-             | Nop -> ()
-           end)
-         body;
-       match !next with
-       | Some l ->
-         Profile.bump_edge profile ~src:!block ~dst:l 1;
-         block := l
-       | None -> if not !finished then raise (Stuck "block fell through")
-     done
-   with Exit -> ());
+  (* Execute block [l] from its remaining instructions [is] on; a jump
+     or branch continues in its target. Every call is a tail call, so
+     only the profile's counts allocate. *)
+  let rec walk l (is : Instr.t list) =
+    match is with
+    | [] -> raise (Stuck "block fell through")
+    | i :: rest ->
+      decr fuel_left;
+      if !fuel_left > 0 then begin
+        incr dyn;
+        match i.op with
+        | Const (d, k) ->
+          set d k;
+          walk l rest
+        | Copy (d, s) ->
+          set d (get s);
+          walk l rest
+        | Unop (u, d, s) ->
+          set d (Instr.eval_unop u (get s));
+          walk l rest
+        | Binop (b, d, x, y) ->
+          set d (Instr.eval_binop b (get x) (get y));
+          walk l rest
+        | Load (_, d, base, off) ->
+          set d memory.((get base + off) land mask);
+          walk l rest
+        | Store (_, base, off, s) ->
+          memory.((get base + off) land mask) <- get s;
+          walk l rest
+        | Jump l' -> enter l l'
+        | Branch (c, l1, l2) -> enter l (if get c <> 0 then l1 else l2)
+        | Return -> ()
+        | Produce _ | Consume _ | Produce_sync _ | Consume_sync _ ->
+          raise (stuck_comm i)
+        | Nop -> walk l rest
+      end
+  and enter src dst =
+    Profile.bump_edge profile ~src ~dst 1;
+    Profile.bump_block profile dst 1;
+    walk dst (Cfg.body cfg dst)
+  in
+  let entry = Cfg.entry cfg in
+  Profile.bump_block profile entry 1;
+  walk entry (Cfg.body cfg entry);
   {
     memory;
     regs;

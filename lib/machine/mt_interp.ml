@@ -54,8 +54,26 @@ let run ?(fuel = 50_000_000) ?(sched = Round_robin) ?(init_regs = [])
   let mask = mem_size - 1 in
   let memory = Array.make mem_size 0 in
   List.iter (fun (a, v) -> memory.(a land mask) <- v) init_mem;
-  let sa =
-    Syncarray.create ~n_queues:(max 1 p.n_queues) ~capacity:queue_capacity
+  if queue_capacity <= 0 then invalid_arg "Mt_interp.run: queue_capacity < 1";
+  (* One ring per queue: [len.(q)] values from [head.(q)] on, wrapping
+     at [queue_capacity], so produce and consume allocate nothing. *)
+  let n_queues = max 1 p.n_queues in
+  let ring = Array.init n_queues (fun _ -> Array.make queue_capacity 0) in
+  let head = Array.make n_queues 0 and len = Array.make n_queues 0 in
+  let produce q v =
+    if len.(q) >= queue_capacity then false
+    else begin
+      ring.(q).((head.(q) + len.(q)) mod queue_capacity) <- v;
+      len.(q) <- len.(q) + 1;
+      true
+    end
+  in
+  (* The head of a non-empty queue [q], popped. *)
+  let consume q =
+    let v = ring.(q).(head.(q)) in
+    head.(q) <- (head.(q) + 1) mod queue_capacity;
+    len.(q) <- len.(q) - 1;
+    v
   in
   let mk_thread (f : Func.t) =
     let regs = Array.make (max 1 f.n_regs) 0 in
@@ -130,28 +148,27 @@ let run ?(fuel = 50_000_000) ?(sched = Round_robin) ?(init_regs = [])
           st.finished <- true;
           retire st rest
         | Produce (q, s) ->
-          if Syncarray.try_produce sa ~q ~value:regs.(Reg.to_int s) ~ready:0
-          then begin
+          if produce q regs.(Reg.to_int s) then begin
             st.prod <- st.prod + 1;
             retire st rest
           end
           else false
         | Consume (d, q) ->
-          if Syncarray.can_consume sa ~q ~now:0 then begin
-            regs.(Reg.to_int d) <- Syncarray.consume sa ~q ~now:0;
+          if len.(q) > 0 then begin
+            regs.(Reg.to_int d) <- consume q;
             st.cons <- st.cons + 1;
             retire st rest
           end
           else false
         | Produce_sync q ->
-          if Syncarray.try_produce sa ~q ~value:1 ~ready:0 then begin
+          if produce q 1 then begin
             st.psync <- st.psync + 1;
             retire st rest
           end
           else false
         | Consume_sync q ->
-          if Syncarray.can_consume sa ~q ~now:0 then begin
-            ignore (Syncarray.consume sa ~q ~now:0);
+          if len.(q) > 0 then begin
+            ignore (consume q);
             st.csync <- st.csync + 1;
             retire st rest
           end
@@ -209,11 +226,11 @@ let run ?(fuel = 50_000_000) ?(sched = Round_robin) ?(init_regs = [])
             | { Instr.op = Produce (q, _); _ } :: _ ->
               Printf.sprintf
                 "thread %d: blocked producing to full queue %d (occupancy %d/%d)"
-                t q (Syncarray.occupancy sa ~q) (Syncarray.capacity sa)
+                t q len.(q) queue_capacity
             | { op = Produce_sync q; _ } :: _ ->
               Printf.sprintf
                 "thread %d: blocked on produce.sync to full queue %d (occupancy %d/%d)"
-                t q (Syncarray.occupancy sa ~q) (Syncarray.capacity sa)
+                t q len.(q) queue_capacity
             | { op = Consume (_, q); _ } :: _ ->
               Printf.sprintf "thread %d: blocked on consume from empty queue %d"
                 t q
@@ -242,6 +259,6 @@ let run ?(fuel = 50_000_000) ?(sched = Round_robin) ?(init_regs = [])
         threads;
     deadlocked = !deadlocked;
     fuel_exhausted = !fuel_left <= 0;
-    queues_drained = Syncarray.all_empty sa;
+    queues_drained = Array.for_all (fun l -> l = 0) len;
     blocked;
   }

@@ -1,7 +1,10 @@
 (** Untimed concurrent interpreter for multi-threaded programs.
 
-    Threads share memory and communicate through a {!Syncarray}. Each
-    thread starts from the same initial register file (thread spawn copies
+    Threads share memory and communicate through the program's queues,
+    the synchronization array without its timing: one ring of
+    [queue_capacity] entries per queue, where a produce to a full queue
+    and a consume from an empty one block the thread. Each thread
+    starts from the same initial register file (thread spawn copies
     registers, which is how live-ins reach all threads). Scheduling is
     per-instruction round-robin or seeded-random — correctness of MTCG
     output must not depend on the interleaving, and tests exercise both.
@@ -45,6 +48,8 @@ val comm_of : thread_stats -> int
 (** Total communication instructions executed, all threads. *)
 val total_comm : result -> int
 
+(** @raise Invalid_argument if [mem_size] is not a power of two or
+    [queue_capacity] is below 1. *)
 val run :
   ?fuel:int ->
   ?sched:sched ->

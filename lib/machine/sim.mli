@@ -14,6 +14,13 @@
     semantics; [produce.sync] has release semantics for free because issue
     is in order and stores commit at issue).
 
+    A thread's count ends in the cycle its [Return] issues: results
+    still in flight then, such as a load's miss or a long-latency value
+    that nothing reads, are not charged. So on the Fig-6 core a chain of
+    [n] dependent ops of latency [l] ends [l * (n - 1) + 1] cycles after
+    it starts; [test_machine]'s Fig-6 table pins such counts on this
+    engine and on {!Legacy}.
+
     This is the one engine that executes a measured program. Each
     decoded instruction is compiled once into an OCaml closure fusing
     the issue guards with the operand fetch/writeback (see {!Jit}), and

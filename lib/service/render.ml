@@ -86,9 +86,40 @@ let parse_failure ~cache_status e =
     cache_status;
   }
 
+let fingerprint ?(n_threads = 2) ?(coco = false) technique ~canonical =
+  let mc = V.machine_config ~n_cores:(max 2 n_threads) technique in
+  Gmt_cache.Fingerprint.compute ~text:canonical
+    ~technique:(V.technique_name technique) ~n_threads ~coco
+    ~machine:(Format.asprintf "%a" Gmt_machine.Config.pp mc)
+    ()
+
 let lookup cache =
   Obs.span ~cat:"stage" "req.cache.lookup" (fun () ->
       Option.bind cache (fun (c, key) -> Cache.find c key))
+
+(* The one builder of a cache entry: [c]'s code with its plan's
+   transfer count and its workload's name, stored under the request's
+   key when there is a cache. Only verified code comes with a cache. *)
+let store cache (c : V.compiled) =
+  let e =
+    {
+      Cache.mtp = c.V.mtp;
+      comm_sites = List.length c.V.plan.Gmt_mtcg.Mtcg.comms;
+      verified = true;
+      w_name = c.V.workload.W.name;
+    }
+  in
+  Option.iter (fun (cch, key) -> Cache.store cch key e) cache;
+  e
+
+(* A run's miss: compile and verify the cell, then store it. [verify]
+   is false only for offline [run], which has no cache. *)
+let compile_run ?cache ?verify ~technique ~coco ~threads w =
+  let c =
+    Obs.span ~cat:"stage" "req.compile" (fun () ->
+        V.compile ~n_threads:threads ~coco ?verify technique w)
+  in
+  (store cache c).Cache.mtp
 
 (* ------------------------------- run ------------------------------- *)
 
@@ -179,29 +210,34 @@ let cell_stage ?fuel ~cache_status ~name ~input ~mem_size ~st ~oracle
 
 (* A run from the parsed program: the reference stage, whose record
    goes to [remember], then one probe (compiling and storing on a miss),
-   then the cell stage against the exact reference image. *)
-let run_workload ?cache ?fuel ?remember ~verify ~technique ~coco ~threads
+   then the cell stage against the exact reference image. [cache] and
+   [verify] are never given together: [run] has no cache, and
+   [run_text] always verifies. *)
+let run_workload ?cache ?fuel ?remember ?verify ~technique ~coco ~threads
     (w : W.t) =
   let status = ref "none" in
   guarded status @@ fun () ->
   let st, image = reference_stage ?fuel w in
   Option.iter (fun f -> f (reference_of ?fuel w st image)) remember;
   if cache <> None then status := "miss";
-  let a =
-    V.compile_cached ?cache ~n_threads:threads ~coco ~verify technique w
+  let mtp =
+    match lookup cache with
+    | Some e ->
+      status := "hit";
+      e.Cache.mtp
+    | None -> compile_run ?cache ?verify ~technique ~coco ~threads w
   in
-  if cache <> None && a.V.a_from_cache then status := "hit";
   cell_stage ?fuel ~cache_status:!status ~name:w.W.name
     ~input:(fun () -> w.W.reference)
     ~mem_size:w.W.mem_size
     ~st:(st.V.dyn_instrs, st.V.cycles)
-    ~oracle:(V.Image image) ~technique ~coco ~threads a.V.a_mtp
+    ~oracle:(V.Image image) ~technique ~coco ~threads mtp
 
-let run ?fuel ?(verify = true) ~technique ~coco ~threads w =
-  run_workload ?fuel ~verify ~technique ~coco ~threads w
+let run ?fuel ?verify ~technique ~coco ~threads w =
+  run_workload ?fuel ?verify ~technique ~coco ~threads w
 
 (* A run served from its cell's record: one probe, and the text is
-   parsed only to compile a missing artifact, stored without a second
+   parsed only to compile a missing entry, stored without a second
    probe. The cell stage checks against the recorded digest. *)
 let run_recorded ?cache ?fuel ~technique ~coco ~threads r text =
   let cell cache_status program =
@@ -219,8 +255,7 @@ let run_recorded ?cache ?fuel ~technique ~coco ~threads r text =
     | Error e -> parse_failure ~cache_status e
     | Ok w ->
       cell cache_status (fun () ->
-          (V.compile_store ?cache ~n_threads:threads ~coco technique w)
-            .V.a_mtp))
+          compile_run ?cache ~technique ~coco ~threads w))
 
 let run_text ?cache ?fuel ?reference ?remember ~technique ~coco ~threads text
     =
@@ -231,26 +266,22 @@ let run_text ?cache ?fuel ?reference ?remember ~technique ~coco ~threads text
     match Text.parse ~file:"<request>" text with
     | Error e -> parse_failure ~cache_status:"none" e
     | Ok w ->
-      run_workload ?cache ?fuel ?remember ~verify:true ~technique ~coco
-        ~threads w)
+      run_workload ?cache ?fuel ?remember ~technique ~coco ~threads w)
 
 (* ------------------------------ check ------------------------------ *)
 
-let verified_out ~label ~threads n_queues comm_sites =
-  Printf.sprintf "%s: verified (%d threads, %d queues, %d comm sites)\n" label
-    threads n_queues comm_sites
-
-let hit_outcome ~label ~threads (e : Cache.entry) =
+let verified_outcome ~label ~threads ~cache_status (e : Cache.entry) =
   {
-    out = verified_out ~label ~threads e.Cache.mtp.Gmt_ir.Mtprog.n_queues
-        e.Cache.comm_sites;
+    out =
+      Printf.sprintf "%s: verified (%d threads, %d queues, %d comm sites)\n"
+        label threads e.Cache.mtp.Gmt_ir.Mtprog.n_queues e.Cache.comm_sites;
     err = "";
     code = 0;
-    cache_status = "hit";
+    cache_status;
   }
 
 (* A check whose lookup missed (or that has no cache): compile
-   unverified, validate, and store only a clean artifact. *)
+   unverified, validate, and store only clean code. *)
 let check_miss ?cache ~technique ~coco ~threads (w : W.t) =
   let label = cell_label w.W.name technique coco in
   let cache_status = if cache = None then "none" else "miss" in
@@ -259,28 +290,9 @@ let check_miss ?cache ~technique ~coco ~threads (w : W.t) =
     Obs.span ~cat:"stage" "req.compile" (fun () ->
         V.compile ~n_threads:threads ~coco ~verify:false technique w)
   in
-  let diags = V.verify_compiled c in
-  let comm_sites = List.length c.V.plan.Gmt_mtcg.Mtcg.comms in
-  if diags = [] then begin
-    Option.iter
-      (fun (cch, key) ->
-        Cache.store cch key
-          {
-            Cache.mtp = c.V.mtp;
-            comm_sites;
-            verified = true;
-            w_name = w.W.name;
-          })
-      cache;
-    {
-      out = verified_out ~label ~threads c.V.mtp.Gmt_ir.Mtprog.n_queues
-          comm_sites;
-      err = "";
-      code = 0;
-      cache_status;
-    }
-  end
-  else
+  match V.verify_compiled c with
+  | [] -> verified_outcome ~label ~threads ~cache_status (store cache c)
+  | diags ->
     {
       out = "";
       err =
@@ -291,11 +303,8 @@ let check_miss ?cache ~technique ~coco ~threads (w : W.t) =
       cache_status;
     }
 
-let check ?cache ~technique ~coco ~threads (w : W.t) =
-  match lookup cache with
-  | Some e ->
-    hit_outcome ~label:(cell_label w.W.name technique coco) ~threads e
-  | None -> check_miss ?cache ~technique ~coco ~threads w
+let check ~technique ~coco ~threads w =
+  check_miss ~technique ~coco ~threads w
 
 (* The service's hot path: the caller keyed the received text as-is,
    and parsing is paid only on a miss. A hit needs no [Workload.t] at
@@ -307,7 +316,9 @@ let check ?cache ~technique ~coco ~threads (w : W.t) =
 let check_text ?cache ~technique ~coco ~threads text =
   match lookup cache with
   | Some e ->
-    hit_outcome ~label:(cell_label e.Cache.w_name technique coco) ~threads e
+    verified_outcome
+      ~label:(cell_label e.Cache.w_name technique coco)
+      ~threads ~cache_status:"hit" e
   | None -> (
     match Text.parse ~file:"<request>" text with
     | Error e ->

@@ -39,13 +39,34 @@ type outcome = {
   cache_status : string;  (** ["hit"], ["miss"] or ["none"] *)
 }
 
+(** The artifact-cache key of one compiled cell: digests the canonical
+    GMT-IR text ([canonical], normally {!Gmt_frontend.Text.print})
+    together with the technique, thread count, COCO flag and the
+    {!V.machine_config} rendering under the cache
+    {!Gmt_cache.Fingerprint.format_version}. A [run] and a [check] of
+    one cell share its key and so its entry. *)
+val fingerprint :
+  ?n_threads:int -> ?coco:bool -> V.technique -> canonical:string -> string
+
+(** {2 The artifact cache}
+
+    This module is the cache's one owner. A {!run_text} or
+    {!check_text} given a cache, as the pair of the cache and the cell's
+    {!fingerprint}, probes it exactly once, in the [req.cache.lookup]
+    stage. A hit skips the whole compile pipeline and re-verification:
+    only verified code is stored. A miss compiles in the [req.compile]
+    stage, and one [store] builds the {!Gmt_cache.Cache.entry} of every
+    miss (the run's, the record-served run's and the check's) from the
+    verified cell. *)
+
 (** [gmtc run]: single-threaded baseline vs one compiled cell, with the
     speedup report. Two stages, one simulation each: the reference
     stage simulates the single-threaded original
     ({!V.measure_reference}); after the cell is compiled, the cell stage
     simulates it and checks its final memory against the reference
     image. [fuel] bounds each simulation's cycles; exhaustion yields
-    {!exit_timeout}. *)
+    {!exit_timeout}. It has no cache, so [~verify:false] ([gmtc run
+    --no-verify]) compiles code that is never looked up or stored. *)
 val run :
   ?fuel:int ->
   ?verify:bool ->
@@ -86,17 +107,18 @@ type reference = {
 val applies : ?fuel:int -> reference -> bool
 
 (** [run_text] is {!run} on the GMT-IR text itself — the server's
-    path. [cache] pairs the artifact cache with the cell's key, as for
-    {!check}. [reference], a record taken from a completed run of the
-    same key, is used when it {!applies}: the request then probes the
-    cache once and, on a hit, simulates only the cell, checking its
-    final memory against [reference.digest]; it parses nothing and
-    simulates no reference. On a miss it parses and compiles, and stores
-    without a second probe. Otherwise the text is parsed and runs as
-    {!run} does (a reference that exhausts [fuel] ends the request
-    before the cache is probed, [cache_status] ["none"]), and
-    [remember] receives the record of a reference that completed. A
-    parse error renders as offline [gmtc]'s, with {!exit_parse}. *)
+    path, always verified. [cache] pairs the artifact cache with the
+    cell's key, as for {!check_text}. [reference], a record taken from a
+    completed run of the same key, is used when it {!applies}: the
+    request then probes the cache once and, on a hit, simulates only
+    the cell, checking its final memory against [reference.digest]; it
+    parses nothing and simulates no reference. On a miss it parses and
+    compiles, and stores without a second probe. Otherwise the text is
+    parsed and runs as {!run} does (a reference that exhausts [fuel]
+    ends the request before the cache is probed, [cache_status]
+    ["none"]), and [remember] receives the record of a reference that
+    completed. A parse error renders as offline [gmtc]'s, with
+    {!exit_parse}. *)
 val run_text :
   ?cache:Gmt_cache.Cache.t * string ->
   ?fuel:int ->
@@ -108,25 +130,23 @@ val run_text :
   string ->
   outcome
 
-(** [gmtc check]: translation-validate one cell. A cache hit serves the
-    stored verdict; a miss compiles unverified, runs the validator, and
-    stores only a clean artifact. [cache] pairs the artifact cache with
-    the cell's key, {!V.fingerprint} of the program text: the caller
-    computes it once, and nothing here prints or hashes the program. *)
+(** [gmtc check]: translation-validate one cell. It compiles
+    unverified, runs the validator, and reports the verdict; it has no
+    cache. *)
 val check :
-  ?cache:Gmt_cache.Cache.t * string ->
   technique:V.technique ->
   coco:bool ->
   threads:int ->
   Workload.t ->
   outcome
 
-(** [check_text] is {!check} taking the GMT-IR text itself, with the
-    key the caller computed over the received bytes: a cache hit never
-    parses or re-prints the program — this is the server's warm path. A
-    miss parses (a parse error renders as offline [gmtc]'s, with
-    {!exit_parse}) and compiles as {!check} does, without a second
-    lookup. *)
+(** [check_text] is {!check} taking the GMT-IR text itself. [cache]
+    pairs the artifact cache with the cell's key, the {!fingerprint} the
+    caller computed over the received bytes: a hit serves the stored
+    verdict and never parses or re-prints the program — this is the
+    server's warm path. A miss parses (a parse error renders as offline
+    [gmtc]'s, with {!exit_parse}), compiles as {!check} does, and stores
+    only a clean cell, without a second lookup. *)
 val check_text :
   ?cache:Gmt_cache.Cache.t * string ->
   technique:V.technique ->

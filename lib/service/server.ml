@@ -295,7 +295,7 @@ let keys { job; fuel } payload =
   let fuel = match fuel with None -> "-" | Some f -> string_of_int f in
   let cell op c =
     let key =
-      V.fingerprint ~n_threads:c.threads ~coco:c.coco c.technique
+      Render.fingerprint ~n_threads:c.threads ~coco:c.coco c.technique
         ~canonical:payload
     in
     (key, String.concat " " [ op; fuel; key ])

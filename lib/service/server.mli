@@ -80,8 +80,8 @@ val registry : t -> Gmt_telemetry.Registry.t
     [check] or [sweep] request document [j] carrying the GMT-IR
     [payload], from the one digest it takes over the payload.
     [Ok (cell, flight)]: [cell] is a run/check cell's artifact-cache
-    key, {!Gmt_core.Velocity.fingerprint} of the payload, which is also
-    the key the farm routes by ([None] for a sweep); [flight] is the
+    key, {!Render.fingerprint} of the payload, which is also the key
+    the farm routes by ([None] for a sweep); [flight] is the
     single-flight key, the cell key plus the op and the requested fuel
     (for a sweep, a payload digest plus max_threads and fuel). Trace
     fields never enter either key. [Error o] is the outcome a request

@@ -1,8 +1,8 @@
 (* The content-addressed artifact cache: golden cache keys (pinning the
    canonical serializer to the format version), the framed-digest
    sensitivity properties, disk round-trips through a second cache
-   instance, corruption/stale-version eviction, LRU bounds and atomic
-   writes.
+   instance, corruption/stale-version eviction, LRU bounds, atomic
+   writes, and [Render]'s use of it: one probe and one entry per cell.
 
    The golden table is the contract that a canonical-serializer change
    must bump [Fingerprint.format_version]: the keys below digest the
@@ -14,6 +14,7 @@ module Cache = Gmt_cache.Cache
 module Fingerprint = Gmt_cache.Fingerprint
 module Diskio = Gmt_cache.Diskio
 module V = Gmt_core.Velocity
+module Render = Gmt_service.Render
 module Text = Gmt_frontend.Text
 module Suite = Gmt_workloads.Suite
 
@@ -24,7 +25,7 @@ let workload name =
 
 let fingerprint name technique coco =
   let w = workload name in
-  V.fingerprint ~n_threads:2 ~coco technique ~canonical:(Text.print w)
+  Render.fingerprint ~n_threads:2 ~coco technique ~canonical:(Text.print w)
 
 (* ------------------------ golden fingerprints ---------------------- *)
 
@@ -303,51 +304,75 @@ let test_atomic_write () =
   Alcotest.(check (list string)) "no temp files left" [ "out.txt" ]
     (Array.to_list (Sys.readdir dir))
 
-(* -------------------- cached compile (Velocity) -------------------- *)
+(* --------------------- one entry per cell (Render) --------------------- *)
+
+(* [Render] is the cache's one owner: a served run or check of a cell
+   probes its key once and stores one entry on a miss. *)
+let served_run cache name technique coco =
+  Render.run_text
+    ~cache:(cache, fingerprint name technique coco)
+    ~technique ~coco ~threads:2
+    (Text.print (workload name))
+
+let served_check cache name technique coco =
+  Render.check_text
+    ~cache:(cache, fingerprint name technique coco)
+    ~technique ~coco ~threads:2
+    (Text.print (workload name))
+
+let find_entry cache key =
+  match Cache.find cache key with
+  | Some e -> e
+  | None -> Alcotest.fail "no entry under the cell's key"
 
 let test_compile_cached () =
-  let w = workload "ks" in
   let key = fingerprint "ks" V.Gremio false in
   let cache = Cache.create () in
-  let a1 = V.compile_cached ~cache:(cache, key) ~n_threads:2 V.Gremio w in
-  Alcotest.(check bool) "first compile is a miss" false a1.V.a_from_cache;
-  let a2 = V.compile_cached ~cache:(cache, key) ~n_threads:2 V.Gremio w in
-  Alcotest.(check bool) "second compile hits" true a2.V.a_from_cache;
-  Alcotest.(check bool) "hit is verified" true a2.V.a_verified;
-  (* The cached artifact simulates to the same numbers. *)
-  let m1 = V.measure_artifact a1 and m2 = V.measure_artifact a2 in
-  Alcotest.(check int) "cycles agree" m1.V.cycles m2.V.cycles;
-  Alcotest.(check int) "instrs agree" m1.V.dyn_instrs m2.V.dyn_instrs;
-  (* An unverified compile must not poison the verified cache. *)
-  let cache2 = Cache.create () in
-  let a3 =
-    V.compile_cached ~cache:(cache2, key) ~n_threads:2 ~verify:false
-      V.Gremio w
-  in
-  Alcotest.(check bool) "unverified not cached" false a3.V.a_from_cache;
-  Alcotest.(check int) "no store" 0 (Cache.stats cache2).Cache.stores
+  let o1 = served_run cache "ks" V.Gremio false in
+  Alcotest.(check string) "first run is a miss" "miss" o1.Render.cache_status;
+  let o2 = served_run cache "ks" V.Gremio false in
+  Alcotest.(check string) "second run hits" "hit" o2.Render.cache_status;
+  (* The cached code simulates to the same report, cycles included. *)
+  Alcotest.(check string) "same report" o1.Render.out o2.Render.out;
+  Alcotest.(check bool) "entry is verified" true
+    (find_entry cache key).Cache.verified;
+  Alcotest.(check int) "one store" 1 (Cache.stats cache).Cache.stores
+
+(* The cycles a run report prints for its compiled cell. *)
+let mt_cycles (o : Render.outcome) =
+  match
+    List.find_map
+      (fun line ->
+        try
+          Scanf.sscanf line " multi-threaded : %d instrs %d cycles"
+            (fun _ cycles -> Some cycles)
+        with Scanf.Scan_failure _ | End_of_file -> None)
+      (String.split_on_char '\n' o.Render.out)
+  with
+  | Some c -> c
+  | None -> Alcotest.failf "no multi-threaded line in %S" o.Render.out
 
 (* Execution-engine independence: the cache key digests the scheduling
    inputs (canonical text, technique, thread count, COCO, tool version)
    and nothing about how the result will be simulated. Both simulator
-   engines must hit the same entry, and simulating the cached artifact
-   under each must reproduce the cycles [measure_artifact] reports. *)
+   engines must read the same entry, and simulating it under each must
+   reproduce the cycles the served run reports. *)
 let test_kernel_independent () =
   let module Sim = Gmt_machine.Sim in
   let module W = Gmt_workloads.Workload in
   let w = workload "ks" in
   let key = fingerprint "ks" V.Gremio false in
   let cache = Cache.create () in
-  let a0 = V.compile_cached ~cache:(cache, key) ~n_threads:2 V.Gremio w in
-  Alcotest.(check bool) "seed compile is a miss" false a0.V.a_from_cache;
-  let reference = V.measure_artifact a0 in
+  let o = served_run cache "ks" V.Gremio false in
+  Alcotest.(check string) "seed run is a miss" "miss" o.Render.cache_status;
   List.iter
     (fun (name, run) ->
-      let a = V.compile_cached ~cache:(cache, key) ~n_threads:2 V.Gremio w in
-      Alcotest.(check bool) (name ^ " run hits the same entry") true
-        a.V.a_from_cache;
-      let r : Sim.result = run (V.machine_config V.Gremio) a.V.a_mtp in
-      Alcotest.(check int) (name ^ " cycles") reference.V.cycles r.Sim.cycles)
+      let hits = (Cache.stats cache).Cache.hits in
+      let e = find_entry cache key in
+      Alcotest.(check int) (name ^ " run hits the same entry") (hits + 1)
+        (Cache.stats cache).Cache.hits;
+      let r : Sim.result = run (V.machine_config V.Gremio) e.Cache.mtp in
+      Alcotest.(check int) (name ^ " cycles") (mt_cycles o) r.Sim.cycles)
     [
       ( "legacy",
         fun mc p ->
@@ -359,6 +384,30 @@ let test_kernel_independent () =
             ~init_mem:w.W.reference.W.mem mc p ~mem_size:w.W.mem_size );
     ];
   Alcotest.(check int) "one store total" 1 (Cache.stats cache).Cache.stores
+
+(* A run and a check of one cell share its key, so whichever comes
+   second hits the entry the first stored and prints what offline gmtc
+   prints; in either order the stored entry is the same bytes. *)
+let test_run_check_share_entry () =
+  let name = "adpcmdec" and technique = V.Gremio and coco = true in
+  let w = workload name in
+  let key = fingerprint name technique coco in
+  let offline_run = Render.run ~technique ~coco ~threads:2 w in
+  let offline_check = Render.check ~technique ~coco ~threads:2 w in
+  let second label expect (o : Render.outcome) =
+    Alcotest.(check string) (label ^ " hits") "hit" o.Render.cache_status;
+    Alcotest.(check string) (label ^ " prints offline bytes")
+      expect.Render.out o.Render.out
+  in
+  let a = Cache.create () in
+  ignore (served_run a name technique coco);
+  second "check after run" offline_check (served_check a name technique coco);
+  let b = Cache.create () in
+  ignore (served_check b name technique coco);
+  second "run after check" offline_run (served_run b name technique coco);
+  Alcotest.(check string) "one entry, either order"
+    (Cache.encode_entry (find_entry a key))
+    (Cache.encode_entry (find_entry b key))
 
 let tests =
   [
@@ -377,4 +426,6 @@ let tests =
     Alcotest.test_case "compile_cached" `Quick test_compile_cached;
     Alcotest.test_case "kernel-independent keys" `Quick
       test_kernel_independent;
+    Alcotest.test_case "run and check share one entry" `Quick
+      test_run_check_share_entry;
   ]

@@ -70,7 +70,7 @@ let corpus_cells () =
       List.map
         (fun (cell, technique, coco) ->
           ( name ^ "/" ^ cell,
-            V.fingerprint ~n_threads:2 ~coco technique ~canonical ))
+            Render.fingerprint ~n_threads:2 ~coco technique ~canonical ))
         cells)
     (List.sort compare (Suite.names ()))
 

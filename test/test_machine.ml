@@ -1,9 +1,8 @@
-(* Machine substrate: cache model, synchronization array, interpreters and
-   the cycle simulator. *)
+(* Machine substrate: cache model, interpreters and the cycle simulator,
+   which is pinned to the paper's Fig-6 machine cycle for cycle. *)
 
 open Gmt_ir
 module Cache = Gmt_machine.Cache
-module Syncarray = Gmt_machine.Syncarray
 module Interp = Gmt_machine.Interp
 module Mt_interp = Gmt_machine.Mt_interp
 module Sim = Gmt_machine.Sim
@@ -87,29 +86,6 @@ let prop_cache_l3_5_sets =
   let mc = Config.test_config () in
   prop_cache_matches_lru ~name:"cache == LRU lists (5-set test L3)"
     ~size:mc.Config.l3_size ~assoc:mc.Config.l3_assoc ~line:mc.Config.l3_line
-
-(* ------------------------- sync array ------------------------- *)
-
-let test_syncarray_fifo () =
-  let sa = Syncarray.create ~n_queues:2 ~capacity:2 in
-  Alcotest.(check bool) "p1" true (Syncarray.try_produce sa ~q:0 ~value:1 ~ready:0);
-  Alcotest.(check bool) "p2" true (Syncarray.try_produce sa ~q:0 ~value:2 ~ready:0);
-  Alcotest.(check bool) "full" false
-    (Syncarray.try_produce sa ~q:0 ~value:3 ~ready:0);
-  Alcotest.(check int) "fifo 1" 1 (Syncarray.consume sa ~q:0 ~now:0);
-  Alcotest.(check int) "fifo 2" 2 (Syncarray.consume sa ~q:0 ~now:0);
-  Alcotest.(check bool) "empty" false (Syncarray.can_consume sa ~q:0 ~now:0);
-  Alcotest.(check int) "produces" 2 (Syncarray.produces sa);
-  Alcotest.(check int) "consumes" 2 (Syncarray.consumes sa);
-  Alcotest.(check bool) "all drained" true (Syncarray.all_empty sa)
-
-let test_syncarray_readiness () =
-  let sa = Syncarray.create ~n_queues:1 ~capacity:4 in
-  ignore (Syncarray.try_produce sa ~q:0 ~value:9 ~ready:10);
-  Alcotest.(check bool) "not ready yet" false
-    (Syncarray.can_consume sa ~q:0 ~now:5);
-  Alcotest.(check bool) "ready later" true
-    (Syncarray.can_consume sa ~q:0 ~now:10)
 
 (* ------------------------- interpreters ------------------------- *)
 
@@ -436,6 +412,98 @@ let test_sim_sync_fences_memory () =
   Alcotest.(check bool) "ok" false s.Sim.deadlocked;
   Alcotest.(check int) "forwarded" 77 s.Sim.memory.(4)
 
+(* ------------------- the Fig-6 machine, exactly ------------------- *)
+
+(* One block: [r0] live in at 0, then [n] instructions, each made by
+   [instr b ~r0 ~m], then [Return]. *)
+let straight_line n instr =
+  let b = Builder.create ~name:"fig6" () in
+  let r0 = Builder.reg b in
+  let m = Builder.region b "m" in
+  let b0 = Builder.block b in
+  for _ = 1 to n do
+    ignore (Builder.add b b0 (instr b ~r0 ~m))
+  done;
+  ignore (Builder.terminate b b0 Instr.Return);
+  Builder.finish b ~live_in:[ r0 ] ~live_out:[]
+
+(* Single-core kernels whose cycle counts have closed forms on the
+   Fig-6 core, each a (name, instruction, memory, expected count). A
+   thread's count ends in the cycle its [Return] issues (sim.mli), so a
+   chain of latency [l] takes [l * (n - 1) + 1] cycles, and [n]
+   independent ops of a class with [u] units issue in groups of [u] with
+   [Return] in the last group, unless that group fills the issue
+   width. *)
+let fig6_kernels (mc : Config.t) =
+  let chain op l =
+    ( (fun _ ~r0 ~m:_ -> Instr.Binop (op, r0, r0, r0)),
+      (fun _ -> []),
+      fun n -> (l * (n - 1)) + 1 )
+  in
+  let independent make units =
+    ( make,
+      (fun _ -> []),
+      fun n ->
+        let u = min units mc.Config.issue_width in
+        let groups = (n + u - 1) / u in
+        groups + if n - (u * (groups - 1)) = mc.Config.issue_width then 1 else 0
+    )
+  in
+  [
+    ("add chain", chain Instr.Add mc.Config.alu_latency);
+    ("mul chain", chain Instr.Mul 3);
+    ("div chain", chain Instr.Div 8);
+    ("fadd chain", chain Instr.Fadd mc.Config.fp_latency);
+    (* Word [1024 k] holds [1024 (k + 1)]: each load reads a line no
+       earlier load touched, at the address the previous one loaded. *)
+    ( "pointer chase",
+      ( (fun _ ~r0 ~m -> Instr.Load (m, r0, r0, 0)),
+        (fun n -> List.init n (fun k -> (1024 * k, 1024 * (k + 1)))),
+        fun n -> ((n - 1) * mc.Config.mem_latency) + 1 ) );
+    ( "independent adds",
+      independent
+        (fun b ~r0 ~m:_ -> Instr.Binop (Instr.Add, Builder.reg b, r0, r0))
+        mc.Config.alu_units );
+    ( "independent fadds",
+      independent
+        (fun b ~r0 ~m:_ -> Instr.Binop (Instr.Fadd, Builder.reg b, r0, r0))
+        mc.Config.fp_units );
+    ( "loads of one word",
+      independent
+        (fun b ~r0 ~m -> Instr.Load (m, Builder.reg b, r0, 0))
+        mc.Config.mem_ports );
+  ]
+
+let test_sim_fig6_table () =
+  let mc = Config.itanium2 () in
+  Alcotest.(check (list int))
+    "itanium2 is Fig 6(a): widths, units, latencies, SA"
+    [ 6; 6; 2; 4; 3; 1; 4; 1; 7; 12; 141; 1; 4 ]
+    Config.
+      [ mc.issue_width; mc.alu_units; mc.fp_units; mc.mem_ports;
+        mc.branch_units; mc.alu_latency; mc.fp_latency; mc.l1_latency;
+        mc.l2_latency; mc.l3_latency; mc.mem_latency; mc.sa_latency;
+        mc.sa_ports ];
+  (* Room for the longest pointer chase: 120 lines 1024 words apart. *)
+  let mem_size = 1 lsl 17 in
+  List.iter
+    (fun (name, (instr, init_mem, expect)) ->
+      List.iter
+        (fun n ->
+          let f = straight_line n instr and init_mem = init_mem n in
+          let p = Mtprog.make ~name:"fig6" ~threads:[| f |] ~n_queues:0 in
+          List.iter
+            (fun (engine, (r : Sim.result)) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s, n=%d, %s" name n engine)
+                (expect n) r.Sim.cycles)
+            [
+              ("sim", Sim.run_single ~init_mem mc f ~mem_size);
+              ("legacy", Gmt_machine.Legacy.run ~init_mem mc p ~mem_size);
+            ])
+        [ 1; 7; 12; 13; 120 ])
+    (fig6_kernels mc)
+
 let tests =
   [
     Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_after_miss;
@@ -443,8 +511,6 @@ let tests =
     Alcotest.test_case "cache probe" `Quick test_cache_probe_no_state_change;
     QCheck_alcotest.to_alcotest prop_cache_l1;
     QCheck_alcotest.to_alcotest prop_cache_l3_5_sets;
-    Alcotest.test_case "syncarray fifo" `Quick test_syncarray_fifo;
-    Alcotest.test_case "syncarray readiness" `Quick test_syncarray_readiness;
     Alcotest.test_case "interp fig3 semantics" `Quick
       test_interp_fig3_semantics;
     Alcotest.test_case "interp fuel" `Quick test_interp_fuel;
@@ -461,4 +527,5 @@ let tests =
     Alcotest.test_case "sim deadlock" `Quick test_sim_deadlock_detected;
     Alcotest.test_case "sim stall-on-use" `Quick test_sim_stall_on_use;
     Alcotest.test_case "sim sync fence" `Quick test_sim_sync_fences_memory;
+    Alcotest.test_case "sim fig6 table" `Quick test_sim_fig6_table;
   ]

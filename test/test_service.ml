@@ -132,7 +132,9 @@ let test_corrupt_entry_recompiled () =
   let gmt = Text.print w in
   let req = Client.run_request ~gmt ~technique:"gremio" ~coco:false ~threads:2 () in
   let offline = Render.run ~technique:V.Gremio ~coco:false ~threads:2 w in
-  let key = V.fingerprint ~n_threads:2 ~coco:false V.Gremio ~canonical:gmt in
+  let key =
+    Render.fingerprint ~n_threads:2 ~coco:false V.Gremio ~canonical:gmt
+  in
   (* Round 1: populate the on-disk store, then corrupt the entry. *)
   let entry_path =
     with_server ~cache_dir:dir @@ fun srv ->
