@@ -12,11 +12,10 @@
      compile — Bechamel micro-benchmarks of compilation-phase costs
                (supporting the paper's claim that COCO's min-cuts do not
                meaningfully lengthen compilation)
-     ablate  — extensions: static profile estimates, offset
-               disambiguation, pre-pass optimizations, 4-thread
-               communication reduction (COCO without control-flow
-               penalties is test_coco's Fig-5 tests: the workload
-               suite's min-cuts have no cost ties)
+     ablate  — extensions: static profile estimates, pre-pass
+               optimizations, 4-thread communication reduction (COCO
+               without control-flow penalties is test_coco's Fig-5
+               tests: the workload suite's min-cuts have no cost ties)
      fuzz    — corpus-driven differential fuzz: gmt_verify verdicts
                cross-checked against MT-interpreter equivalence on every
                technique cell, plus a seeded-miscompile detection pass
@@ -25,11 +24,13 @@
    select (e.g. `dune exec bench/main.exe fig7 fig8 ablate`). The
    evaluation matrix fans out across a domain pool: `--jobs N` sets the
    worker count (default: GMT_JOBS or the recommended domain count);
-   results are byte-identical for every N. `fig8` additionally times
-   every cell's simulation under the legacy oracle and the jit engine
-   and writes BENCH_fig8.json with per-cell wall-clock, simulated
-   cycles, the per-engine comparison column, and one record per row for
-   the compile stages its cells share.
+   results are byte-identical for every N. `fig8` additionally
+   simulates every cell once under the jit engine and once under the
+   legacy oracle, untimed, and exits 1 unless the two results are equal
+   and the jit's reproduces the matrix's metrics. It then writes
+   BENCH_fig8.json with per-cell wall-clock, simulated cycles and
+   counts, and one record per row for the compile stages its cells
+   share.
 
    Three CI gates, each given alone (bench/dune folds them into @smoke):
    `--smoke` runs a tiny-fuel 3-kernel matrix through the pool plus a
@@ -51,10 +52,8 @@ module Sim = Gmt_machine.Sim
 
 type row = V.row
 
-(* A simulator entry point, and the two the fig8 comparison times,
-   oracle first: the legacy result is the reference the jit engine is
-   checked against. Their names are the [kernels] keys of
-   BENCH_fig8.json. *)
+(* A simulator entry point: the jit engine ([Sim.run]) and its oracle
+   ([Gmt_machine.Legacy.run]) share this type. *)
 type engine =
   ?fuel:int ->
   ?init_regs:(Gmt_ir.Reg.t * int) list ->
@@ -64,8 +63,12 @@ type engine =
   mem_size:int ->
   Sim.result
 
-let engines : (string * engine) list =
-  [ ("legacy", Gmt_machine.Legacy.run); ("jit", Sim.run) ]
+let fail tag fmt =
+  Printf.ksprintf
+    (fun s ->
+      Printf.eprintf "[%s] FAIL: %s\n" tag s;
+      exit 1)
+    fmt
 
 let jobs : int option ref = ref None
 let matrix_wall = ref 0.0
@@ -89,6 +92,10 @@ let gremio_m (r : row) = r.V.gremio.V.metrics
 let gremio_coco_m (r : row) = r.V.gremio_coco.V.metrics
 let dswp_m (r : row) = r.V.dswp.V.metrics
 let dswp_coco_m (r : row) = r.V.dswp_coco.V.metrics
+
+(* A row's five cells, in [V.matrix_kinds] order. *)
+let timed_cells (r : row) =
+  [ r.V.st; r.V.gremio; r.V.gremio_coco; r.V.dswp; r.V.dswp_coco ]
 
 let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b
 let speedup st m = float_of_int st.V.cycles /. float_of_int m.V.cycles
@@ -171,41 +178,29 @@ let fig7 () =
     \ reduction ks with GREMIO, to 26.3%; adpcmenc/GREMIO had no\n\
     \ opportunity; >99% of mesa & gromacs memory syncs removed)"
 
-(* -------------- engine wall-clock comparison (fig8) -------------- *)
+(* ---------------- engine equivalence check (fig8) ---------------- *)
 
-(* One Fig-8 cell timed under each execution engine on the same compiled
-   program. The engines must agree bit-for-bit — [Sim.result] is compared
-   structurally, stall attribution and queue peaks included — so the only
-   visible difference is wall clock. Compilation happens once, outside
-   the timed region: this measures [Sim.run] alone. *)
-type kcell = {
-  kc_bench : string;
-  kc_config : string;
-  kc_wall : (string * float) list;  (* engine name -> seconds *)
-  kc_arcs_pruned : int;
-      (* memory arcs the absint disambiguator pruned from the cell's PDG;
-         0 for the single-threaded cell, which builds none *)
-}
-
-let time_thunk f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let kernel_compare_cells ws =
-  Printf.eprintf "[bench] timing %d cells under %d engines...\n%!"
-    (List.length ws * List.length V.matrix_kinds)
-    (List.length engines);
+(* Every Fig-8 cell, compiled again as [V.run_matrix] compiles it (one
+   analysis per program, one partition per technique, one codegen per
+   cell) and simulated once by each engine, untimed. The two results
+   must be equal — [Sim.result] is compared structurally, memory, stall
+   attribution and queue peaks included — and the jit's must reproduce
+   the metrics the matrix recorded for the cell. Returns each cell's
+   count of memory arcs the absint disambiguator pruned from its PDG
+   (0 for the single-threaded cell, which builds none), keyed by bench
+   and config. *)
+let check_engines rows =
+  Printf.eprintf "[bench] checking %d cells: jit against legacy...\n%!"
+    (List.length rows * List.length V.matrix_kinds);
   List.concat_map
-    (fun (w : W.t) ->
-      (* Compiled as [V.run_matrix] compiles: one analysis per program,
-         one partition per technique, one codegen per cell. *)
+    (fun (r : row) ->
+      let w = r.V.rw in
       let an = V.analyze w in
       let parts =
         List.map (fun t -> (t, V.partition t an)) [ V.Gremio; V.Dswp ]
       in
-      List.map
-        (fun kind ->
+      List.map2
+        (fun kind (t : V.timed) ->
           let mc, p, arcs_pruned =
             match kind with
             | V.Single ->
@@ -223,69 +218,16 @@ let kernel_compare_cells ws =
             engine ~init_regs:w.W.reference.W.regs
               ~init_mem:w.W.reference.W.mem mc p ~mem_size:w.W.mem_size
           in
-          (* Wall clock is the min over three runs — the simulator is
-             deterministic, so spread between runs is allocator/GC
-             noise, and the min is the cleanest estimate of the engine's
-             cost. *)
-          let reps = 3 in
-          let timed =
-            List.map
-              (fun (kn, engine) ->
-                let r0, s0 = time_thunk (fun () -> run engine) in
-                let best = ref s0 in
-                for _ = 2 to reps do
-                  let r, s = time_thunk (fun () -> run engine) in
-                  if r <> r0 then begin
-                    Printf.eprintf
-                      "[bench] FAIL: %s/%s: %s engine nondeterministic\n"
-                      w.W.name (V.cell_name kind) kn;
-                    exit 1
-                  end;
-                  if s < !best then best := s
-                done;
-                (kn, r0, !best))
-              engines
-          in
-          (match timed with
-          | (_, reference, _) :: rest ->
-            List.iter
-              (fun (kn, r, _) ->
-                if r <> reference then begin
-                  Printf.eprintf
-                    "[bench] FAIL: %s/%s: %s engine disagrees with legacy\n"
-                    w.W.name (V.cell_name kind) kn;
-                  exit 1
-                end)
-              rest
-          | [] -> ());
-          {
-            kc_bench = w.W.name;
-            kc_config = V.cell_name kind;
-            kc_wall = List.map (fun (kn, _, s) -> (kn, s)) timed;
-            kc_arcs_pruned = arcs_pruned;
-          })
-        V.matrix_kinds)
-    ws
-
-let geomean = function
-  | [] -> 1.0
-  | xs ->
-    exp
-      (List.fold_left (fun a x -> a +. log x) 0.0 xs
-      /. float_of_int (List.length xs))
-
-(* Geometric-mean jit-vs-legacy [Sim.run] speedup across all cells. *)
-let kernel_geomean kcells =
-  geomean
-    (List.filter_map
-       (fun kc ->
-         match
-           ( List.assoc_opt "legacy" kc.kc_wall,
-             List.assoc_opt "jit" kc.kc_wall )
-         with
-         | Some l, Some j when j > 0.0 && l > 0.0 -> Some (l /. j)
-         | _ -> None)
-       kcells)
+          let label = w.W.name ^ "/" ^ V.cell_name kind in
+          let jit = run Sim.run in
+          if run Gmt_machine.Legacy.run <> jit then
+            fail "bench" "%s: jit and legacy results differ" label;
+          if V.metrics_of_sim jit <> t.V.metrics then
+            fail "bench" "%s: jit result differs from the matrix's metrics"
+              label;
+          ((w.W.name, V.cell_name kind), arcs_pruned))
+        V.matrix_kinds (timed_cells r))
+    rows
 
 (* The passes of a row's shared stages ({!V.run_matrix}'s phase 0),
    which no cell records. *)
@@ -293,76 +235,77 @@ let shared_passes =
   [ "validate"; "profile.train"; "pdg.absint"; "pdg.build";
     "partition.gremio"; "partition.dswp" ]
 
+(* [x] at [digits] decimals, the precision each timing field has always
+   been written at. *)
+let fixed digits x =
+  Json.Num (float_of_string (Printf.sprintf "%.*f" digits x))
+
+let int n = Json.Num (float_of_int n)
+
+(* Pass wall-clock breakdown: span durations summed by name, in order
+   of first appearance (a cell runs each pass once, but keep this
+   robust to repeated spans). *)
+let passes_json passes =
+  let order = ref [] and sums = Hashtbl.create 16 in
+  List.iter
+    (fun (name, ms) ->
+      if not (Hashtbl.mem sums name) then order := name :: !order;
+      Hashtbl.replace sums name
+        (ms +. Option.value ~default:0.0 (Hashtbl.find_opt sums name)))
+    passes;
+  Json.Obj
+    (List.rev_map (fun name -> (name, fixed 3 (Hashtbl.find sums name))) !order)
+
+(* Per-core stall attribution, one object per core in stall-label
+   order; each core's buckets sum to the cell's cycles. *)
+let stalls_json (m : V.metrics) =
+  Json.Arr
+    (Array.to_list
+       (Array.map
+          (fun row ->
+            Json.Obj
+              (Array.to_list
+                 (Array.mapi (fun b v -> (Sim.stall_labels.(b), int v)) row)))
+          m.V.stall_attr))
+
+(* Peak occupancy of every queue that held a value, keyed by index. *)
+let queue_peak_json (m : V.metrics) =
+  Json.Obj
+    (List.concat
+       (List.mapi
+          (fun q v -> if v > 0 then [ (string_of_int q, int v) ] else [])
+          (Array.to_list m.V.queue_peak)))
+
+(* Write the object of [fields] with each field on a line, and each
+   element of an array field on a line of its own, so a regenerated
+   file diffs by record. *)
+let write_by_line path fields =
+  let field (k, v) =
+    Json.escape k ^ ": "
+    ^
+    match v with
+    | Json.Arr items ->
+      "[\n    " ^ String.concat ",\n    " (List.map Json.to_string items)
+      ^ "\n  ]"
+    | v -> Json.to_string v
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        ("{\n  " ^ String.concat ",\n  " (List.map field fields) ^ "\n}\n"))
+
 (* Machine-readable perf trajectory: per-cell simulated cycles, dynamic
    communication, wall-clock, and simulated speedup vs the single-thread
-   run, plus the per-engine comparison column and the harness-level
-   wall-clock summary. Schema documented in README.md. *)
-let write_fig8_json rs kcells =
+   run, plus the harness-level wall-clock summary. Schema documented in
+   README.md. *)
+let write_fig8_json rs pruned =
   let j = match !jobs with Some j -> j | None -> Pool.default_jobs () in
-  let buf = Buffer.create 4096 in
-  (* Pass wall-clock breakdown: aggregate span durations by name (a cell
-     runs each pass once, but keep this robust to repeated spans). *)
-  let passes_json passes =
-    let order = ref [] and sums = Hashtbl.create 16 in
-    List.iter
-      (fun (name, ms) ->
-        if not (Hashtbl.mem sums name) then order := name :: !order;
-        Hashtbl.replace sums name
-          (ms +. Option.value ~default:0.0 (Hashtbl.find_opt sums name)))
-      passes;
-    String.concat ", "
-      (List.rev_map
-         (fun name ->
-           Printf.sprintf "%s: %.3f" (Json.escape name)
-             (Hashtbl.find sums name))
-         !order)
-  in
-  (* Per-core stall attribution, one object per core in stall-label
-     order; each core's buckets sum to the cell's cycles. *)
-  let stalls_json (m : V.metrics) =
-    String.concat ", "
-      (Array.to_list
-         (Array.map
-            (fun row ->
-              "{"
-              ^ String.concat ", "
-                  (Array.to_list
-                     (Array.mapi
-                        (fun b v ->
-                          Printf.sprintf "%S: %d" Sim.stall_labels.(b) v)
-                        row))
-              ^ "}")
-            m.V.stall_attr))
-  in
-  let queue_peak_json (m : V.metrics) =
-    let nz = ref [] in
-    Array.iteri
-      (fun q v -> if v > 0 then nz := Printf.sprintf "\"%d\": %d" q v :: !nz)
-      m.V.queue_peak;
-    String.concat ", " (List.rev !nz)
-  in
-  let kcell bench config =
-    List.find_opt
-      (fun kc -> kc.kc_bench = bench && kc.kc_config = config)
-      kcells
-  in
-  (* Per-engine wall-clock column from the legacy-vs-jit comparison. *)
-  let kernels_json = function
-    | None -> ""
-    | Some kc ->
-      Printf.sprintf ", \"kernels\": {%s}"
-        (String.concat ", "
-           (List.map
-              (fun (kn, s) -> Printf.sprintf "%S: %.6f" kn s)
-              kc.kc_wall))
-  in
   let cells =
     List.concat_map
       (fun (r : row) ->
         let st = st_m r in
         (* Static-analysis column, once per workload: the wall-clock of a
-           full lint pass. [arcs_pruned] comes from the engine
-           comparison's compile of the cell. *)
+           full lint pass. [arcs_pruned] comes from the engine check's
+           compile of the cell. *)
         let lint_ms =
           let t0 = Unix.gettimeofday () in
           ignore
@@ -372,25 +315,28 @@ let write_fig8_json rs kcells =
         List.map2
           (fun kind (t : V.timed) ->
             let m = t.V.metrics in
-            let kc = kcell r.V.rw.W.name (V.cell_name kind) in
+            let cell = (r.V.rw.W.name, V.cell_name kind) in
             let sim_speedup =
               if m.V.cycles = 0 then 0.0
               else float_of_int st.V.cycles /. float_of_int m.V.cycles
             in
-            Printf.sprintf
-              "    {\"bench\": %S, \"config\": %S, \"cycles\": %d, \
-               \"dyn_instrs\": %d, \"comm_instrs\": %d, \"mem_syncs\": %d, \
-               \"arcs_pruned\": %d, \"lint_ms\": %.3f, \
-               \"wall_s\": %.6f, \"sim_speedup\": %.4f, \
-               \"passes_ms\": {%s}, \"stalls\": [%s], \"queue_peak\": {%s}%s}"
-              r.V.rw.W.name (V.cell_name kind) m.V.cycles m.V.dyn_instrs
-              m.V.comm_instrs m.V.mem_syncs
-              (match kc with Some kc -> kc.kc_arcs_pruned | None -> 0)
-              lint_ms t.V.wall_s sim_speedup
-              (passes_json t.V.passes) (stalls_json m) (queue_peak_json m)
-              (kernels_json kc))
-          V.matrix_kinds
-          [ r.V.st; r.V.gremio; r.V.gremio_coco; r.V.dswp; r.V.dswp_coco ])
+            Json.Obj
+              [
+                ("bench", Json.Str (fst cell));
+                ("config", Json.Str (snd cell));
+                ("cycles", int m.V.cycles);
+                ("dyn_instrs", int m.V.dyn_instrs);
+                ("comm_instrs", int m.V.comm_instrs);
+                ("mem_syncs", int m.V.mem_syncs);
+                ("arcs_pruned", int (List.assoc cell pruned));
+                ("lint_ms", fixed 3 lint_ms);
+                ("wall_s", fixed 6 t.V.wall_s);
+                ("sim_speedup", fixed 4 sim_speedup);
+                ("passes_ms", passes_json t.V.passes);
+                ("stalls", stalls_json m);
+                ("queue_peak", queue_peak_json m);
+              ])
+          V.matrix_kinds (timed_cells r))
       rs
   in
   (* One record per row for the stages its MT cells share: the
@@ -398,10 +344,12 @@ let write_fig8_json rs kcells =
   let shared =
     List.map
       (fun (r : row) ->
-        Printf.sprintf
-          "    {\"bench\": %S, \"wall_s\": %.6f, \"passes_ms\": {%s}}"
-          r.V.rw.W.name r.V.shared_wall_s
-          (passes_json r.V.shared_passes))
+        Json.Obj
+          [
+            ("bench", Json.Str r.V.rw.W.name);
+            ("wall_s", fixed 6 r.V.shared_wall_s);
+            ("passes_ms", passes_json r.V.shared_passes);
+          ])
       rs
   in
   let sum_cell_wall =
@@ -409,8 +357,7 @@ let write_fig8_json rs kcells =
       (fun acc (r : row) ->
         List.fold_left
           (fun acc (t : V.timed) -> acc +. t.V.wall_s)
-          acc
-          [ r.V.st; r.V.gremio; r.V.gremio_coco; r.V.dswp; r.V.dswp_coco ])
+          acc (timed_cells r))
       0.0 rs
   in
   let sum_shared_wall =
@@ -421,41 +368,25 @@ let write_fig8_json rs kcells =
       (sum_cell_wall +. sum_shared_wall) /. !matrix_wall
     else 1.0
   in
-  let kgeo = kernel_geomean kcells in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"gmt-bench-fig8/6\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" j);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"total_wall_s\": %.6f,\n" !matrix_wall);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"sum_cell_wall_s\": %.6f,\n" sum_cell_wall);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"sum_shared_wall_s\": %.6f,\n" sum_shared_wall);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"harness_speedup\": %.4f,\n" harness_speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"kernel_geomean_speedup\": %.4f,\n" kgeo);
-  Buffer.add_string buf "  \"shared\": [\n";
-  Buffer.add_string buf (String.concat ",\n" shared);
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf "  \"cells\": [\n";
-  Buffer.add_string buf (String.concat ",\n" cells);
-  Buffer.add_string buf "\n  ]\n}\n";
-  (match Json.parse (Buffer.contents buf) with
-  | Ok _ -> ()
-  | Error e ->
-    Printf.eprintf "[bench] BENCH_fig8.json would be malformed: %s\n" e;
-    exit 1);
-  let oc = open_out "BENCH_fig8.json" in
-  Buffer.output_buffer oc buf;
-  close_out oc;
+  write_by_line "BENCH_fig8.json"
+    [
+      ("schema", Json.Str "gmt-bench-fig8/7");
+      ("jobs", int j);
+      ("total_wall_s", fixed 6 !matrix_wall);
+      ("sum_cell_wall_s", fixed 6 sum_cell_wall);
+      ("sum_shared_wall_s", fixed 6 sum_shared_wall);
+      ("harness_speedup", fixed 4 harness_speedup);
+      ("shared", Json.Arr shared);
+      ("cells", Json.Arr cells);
+    ];
   Printf.eprintf
     "[bench] BENCH_fig8.json written (total %.2fs, cells %.2fs, shared \
-     %.2fs, harness speedup %.2fx, jit-vs-legacy geomean %.2fx)\n\
+     %.2fs, harness speedup %.2fx)\n\
      %!"
-    !matrix_wall sum_cell_wall sum_shared_wall harness_speedup kgeo
+    !matrix_wall sum_cell_wall sum_shared_wall harness_speedup
 
 let fig8 () =
+  let rows = Lazy.force rows in
   print_endline "";
   print_endline "Figure 8: speedup over single-threaded execution";
   hr ();
@@ -477,7 +408,7 @@ let fig8 () =
       incr n;
       Printf.printf "%-12s | %7.2f %7.2f | %7.2f %7.2f | %8.1f%% %8.1f%%\n"
         r.V.rw.W.name g gc d dc gg dg)
-    (Lazy.force rows);
+    rows;
   hr ();
   Printf.printf "%-12s | %27s | %8.1f%% %8.1f%%\n" "average"
     "(COCO gain over MTCG ->)"
@@ -486,27 +417,12 @@ let fig8 () =
   print_endline
     "(paper: COCO improves GREMIO speedups by 15.6% on average and DSWP by\n\
     \ 2.7%; the largest gain is ks with GREMIO, +47.6%)";
-  let kcells = kernel_compare_cells (List.map (fun r -> r.V.rw) (Lazy.force rows)) in
-  print_endline "";
-  print_endline
-    "Execution-engine comparison: Sim.run wall-clock per cell (identical \
-     results)";
-  hr ();
-  Printf.printf "%-12s %-12s | %10s %10s | %8s\n" "benchmark" "config"
-    "legacy(ms)" "jit(ms)" "jit-gain";
-  hr ();
-  List.iter
-    (fun kc ->
-      let ms kn = 1e3 *. Option.value ~default:0.0 (List.assoc_opt kn kc.kc_wall) in
-      let l = ms "legacy" and j = ms "jit" in
-      Printf.printf "%-12s %-12s | %10.2f %10.2f | %7.1fx\n" kc.kc_bench
-        kc.kc_config l j
-        (if j > 0.0 then l /. j else 0.0))
-    kcells;
-  hr ();
-  Printf.printf "geomean jit-vs-legacy speedup: %.2fx (floor: 5.00x)\n"
-    (kernel_geomean kcells);
-  write_fig8_json (Lazy.force rows) kcells
+  let pruned = check_engines rows in
+  Printf.printf
+    "\nEngine check: Sim.run and Legacy.run agree on all %d cells, and \
+     reproduce the matrix.\n"
+    (List.length pruned);
+  write_fig8_json rows pruned
 
 (* ---------------------------------------------------------------- *)
 
@@ -538,26 +454,6 @@ let ablate () =
   print_endline
     "(the paper notes static estimates [28] are also accurate; shapes should\n\
     \ broadly agree with the profiled run)";
-  print_endline "";
-  print_endline
-    "Ablation: loop-invariant offset disambiguation (paper Sec 4's\n\
-    \ 'more powerful memory disambiguation' direction), DSWP";
-  hr ();
-  Printf.printf "%-12s | %12s | %12s\n" "benchmark" "mem arcs" "mem arcs+dis";
-  List.iter
-    (fun (w : W.t) ->
-      let count dis =
-        let pdg = Gmt_pdg.Pdg.build ~disambiguate_offsets:dis w.W.func in
-        List.length
-          (List.filter
-             (fun (a : Gmt_pdg.Pdg.arc) ->
-               match a.Gmt_pdg.Pdg.kind with
-               | Gmt_pdg.Pdg.Mem _ -> true
-               | _ -> false)
-             (Gmt_pdg.Pdg.arcs pdg))
-      in
-      Printf.printf "%-12s | %12d | %12d\n" w.W.name (count false) (count true))
-    (Suite.all ());
   print_endline "";
   print_endline
     "Ablation: classical pre-pass optimizations (constfold/copyprop/DCE)";
@@ -705,16 +601,13 @@ let smoke () =
   let t0 = Unix.gettimeofday () in
   let par = V.run_matrix ~jobs:2 ~fuel ws in
   let seq = V.run_matrix ~jobs:1 ~fuel ws in
+  let fail fmt = fail "smoke" fmt in
   let strip (r : row) =
     ( r.V.rw.W.name,
-      List.map
-        (fun (t : V.timed) -> t.V.metrics)
-        [ r.V.st; r.V.gremio; r.V.gremio_coco; r.V.dswp; r.V.dswp_coco ] )
+      List.map (fun (t : V.timed) -> t.V.metrics) (timed_cells r) )
   in
-  if List.map strip par <> List.map strip seq then begin
-    prerr_endline "[smoke] FAIL: jobs=2 matrix differs from jobs=1";
-    exit 1
-  end;
+  if List.map strip par <> List.map strip seq then
+    fail "jobs=2 matrix differs from jobs=1";
   List.iter
     (fun (w : W.t) ->
       let c = V.compile V.Gremio w in
@@ -723,18 +616,12 @@ let smoke () =
         engine ~fuel ~init_regs:w.W.reference.W.regs
           ~init_mem:w.W.reference.W.mem mc c.V.mtp ~mem_size:w.W.mem_size
       in
-      if run Sim.run <> run Gmt_machine.Legacy.run then begin
-        Printf.eprintf "[smoke] FAIL: %s jit/legacy results differ\n" w.W.name;
-        exit 1
-      end)
+      if run Sim.run <> run Gmt_machine.Legacy.run then
+        fail "%s jit/legacy results differ" w.W.name)
     ws;
   (* One traced cell through the observability layer: the emitted Chrome
      trace and metrics JSON must parse and have the expected shape, and
      the per-core stall attribution must sum to the cell's cycles. *)
-  let fail fmt = Printf.ksprintf (fun s ->
-      Printf.eprintf "[smoke] FAIL: %s\n" s;
-      exit 1) fmt
-  in
   Obs.reset ();
   Obs.enable_tracing ();
   Obs.enable_metrics ();
@@ -840,24 +727,17 @@ let verify_matrix () =
     (Unix.gettimeofday () -. t0)
 
 (* --bench-smoke: validate the committed BENCH_fig8.json — it must
-   parse, carry the current schema, record in every cell a wall-clock
-   entry for exactly the [engines], record a jit-vs-legacy geomean at
-   or above the 5x floor, and list each of [shared_passes] once in its
-   row's shared record and in no cell. Then re-prove it live: the full
-   matrix, re-run sequentially, must run each shared pass once per row
-   and in no cell, must reproduce every cell's committed cycles and
-   dynamic instruction, communication and sync counts, and on one cell
-   jit and legacy must still produce bit-identical results. Runs under
-   CI's @bench-smoke alias, folded into @smoke. *)
+   parse, carry the current schema, and list each of [shared_passes]
+   once in its row's shared record and in no cell. Then re-prove it
+   live: the full matrix, re-run sequentially, must run each shared
+   pass once per row and in no cell, must reproduce every cell's
+   committed cycles and dynamic instruction, communication and sync
+   counts, and on one cell jit and legacy must still produce
+   bit-identical results. Runs under CI's @bench-smoke alias, folded
+   into @smoke. *)
 let bench_smoke path =
   let t0 = Unix.gettimeofday () in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s ->
-        Printf.eprintf "[bench-smoke] FAIL: %s\n" s;
-        exit 1)
-      fmt
-  in
+  let fail fmt = fail "bench-smoke" fmt in
   let text =
     match In_channel.with_open_bin path In_channel.input_all with
     | s -> s
@@ -868,28 +748,12 @@ let bench_smoke path =
     | Error e -> fail "%s malformed: %s" path e
     | Ok j -> (
       (match Json.member "schema" j with
-      | Some (Json.Str "gmt-bench-fig8/6") -> ()
-      | _ -> fail "%s lacks schema gmt-bench-fig8/6" path);
-      (match Json.member "kernel_geomean_speedup" j with
-      | Some (Json.Num g) when g >= 5.0 -> ()
-      | Some (Json.Num g) ->
-        fail "recorded jit-vs-legacy geomean %.2fx is below the 5x floor" g
-      | _ -> fail "%s lacks kernel_geomean_speedup" path);
+      | Some (Json.Str "gmt-bench-fig8/7") -> ()
+      | _ -> fail "%s lacks schema gmt-bench-fig8/7" path);
       match (Json.member "shared" j, Json.member "cells" j) with
       | Some (Json.Arr shared), Some (Json.Arr (_ :: _ as cs)) -> (shared, cs)
       | _ -> fail "%s lacks a shared or a cells array" path)
   in
-  let want = List.sort compare (List.map fst engines) in
-  List.iter
-    (fun c ->
-      match Json.member "kernels" c with
-      | Some (Json.Obj ks) ->
-        let got = List.sort compare (List.map fst ks) in
-        if got <> want then
-          fail "a cell's kernels are {%s}, want exactly {%s}"
-            (String.concat ", " got) (String.concat ", " want)
-      | _ -> fail "a cell lacks a kernels object")
-    cs;
   let ws = Suite.all () in
   let expected = List.length ws * List.length V.matrix_kinds in
   if List.length cs <> expected then
@@ -983,8 +847,7 @@ let bench_smoke path =
                 (String.concat "/" count_fields)
                 (String.concat "/" (List.map string_of_int got))
                 (String.concat "/" (List.map string_of_int want)))
-        V.matrix_kinds
-        [ r.V.st; r.V.gremio; r.V.gremio_coco; r.V.dswp; r.V.dswp_coco ])
+        V.matrix_kinds (timed_cells r))
     (V.run_matrix ~jobs:1 ws);
   let w = Suite.find "ks" in
   let c = V.compile ~coco:true V.Gremio w in
@@ -996,9 +859,9 @@ let bench_smoke path =
   if run Sim.run <> run Gmt_machine.Legacy.run then
     fail "ks/gremio+coco: jit engine disagrees with legacy";
   Printf.printf
-    "[bench-smoke] ok: %s schema valid, geomean floor met, %d cells' \
-     counts re-proved, ks cell identical across %d engines (%.2fs)\n"
-    path expected (List.length engines)
+    "[bench-smoke] ok: %s schema valid, %d cells' counts re-proved, ks \
+     cell jit == legacy (%.2fs)\n"
+    path expected
     (Unix.gettimeofday () -. t0)
 
 (* fuzz: the corpus-driven differential fuzzer (explicit section, like

@@ -146,14 +146,17 @@ let fuel_opt_arg =
            $(b,sweep)'s two per thread count). Exhausting it aborts the \
            measurement with exit code 5 instead of running forever.")
 
-(* Print exactly what a Render outcome says and exit with its code —
+(* Print exactly what a Render outcome says and return its exit code —
    the one funnel both local and remote execution drain through. *)
-let finish_outcome (o : Render.outcome) =
+let print_outcome (o : Render.outcome) =
   print_string o.Render.out;
   prerr_string o.Render.err;
   flush stdout;
   flush stderr;
-  if o.Render.code <> 0 then exit o.Render.code
+  o.Render.code
+
+let exit_with code = if code <> 0 then exit code
+let finish_outcome o = exit_with (print_outcome o)
 
 (* --------------------------- observability --------------------------- *)
 
@@ -176,35 +179,17 @@ let metrics_arg =
           "Write the structured metrics registry (PDG/partition/COCO \
            counters, per-core stall attribution) as JSON to $(docv).")
 
-(* Print a one-line diagnostic (plus the per-thread blocked report) and
-   exit non-zero instead of dying with a backtrace. *)
-let deadlock_exit msg =
-  let first, rest =
-    match String.split_on_char '\n' msg with
-    | [] -> ("deadlock", [])
-    | f :: r -> (f, r)
-  in
-  Printf.eprintf "gmtc: deadlock: %s\n" first;
-  List.iter (fun l -> Printf.eprintf "  %s\n" l) rest;
-  exit 1
-
-(* Enable the requested sinks around [f]; the trace/metrics files are
-   written even when [f] deadlocks, so the run that failed is the run
-   you get to inspect. *)
-let with_obs trace metrics f =
+(* Enable the requested sinks, run [f] for its exit code, write the
+   trace and metrics files and only then exit: a run that failed (a
+   deadlock, a fuel timeout, a busy daemon) still leaves its files to
+   inspect. *)
+let with_obs ~trace ~metrics f =
   if trace <> None then Gmt_obs.Obs.enable_tracing ();
   if metrics <> None then Gmt_obs.Obs.enable_metrics ();
-  let finish () =
-    Option.iter Gmt_obs.Obs.write_trace trace;
-    Option.iter Gmt_obs.Obs.write_metrics metrics
-  in
-  match f () with
-  | v ->
-    finish ();
-    v
-  | exception V.Deadlock msg ->
-    finish ();
-    deadlock_exit msg
+  let code = f () in
+  Option.iter Gmt_obs.Obs.write_trace trace;
+  Option.iter Gmt_obs.Obs.write_metrics metrics;
+  exit_with code
 
 (* ------------------------------ list ------------------------------ *)
 
@@ -310,26 +295,21 @@ let check_cmd =
     let w = resolve_workload bench in
     let tech = resolve_technique tech in
     if json || inject <> None then begin
-      (* The JSON report and the seeded-miscompile drill need the raw
-         diagnostics; the plain path below goes through Render so its
-         bytes stay identical to the daemon's. *)
+      (* The JSON report needs the raw diagnostics, and the
+         seeded-miscompile drill mutates the code before Render's
+         verdict; the plain path compiles inside Render so its bytes
+         stay identical to the daemon's. *)
       let c = V.compile ~n_threads:threads ~coco ~verify:false tech w in
       let c = apply_inject inject c in
-      let diags = V.verify_compiled c in
-      let label =
-        Printf.sprintf "%s/%s" w.W.name (V.cell_name (V.Mt (tech, coco)))
-      in
-      if json then
-        print_endline (Verify.to_json ~label ~name:w.W.func_name diags)
-      else if diags = [] then
-        Printf.printf "%s: verified (%d threads, %d queues, %d comm sites)\n"
-          label threads c.V.mtp.Mtprog.n_queues
-          (List.length c.V.plan.Gmt_mtcg.Mtcg.comms)
-      else
-        Printf.eprintf
-          "%s: translation validation FAILED (%d diagnostics)\n%s\n" label
-          (List.length diags) (Verify.render diags);
-      if diags <> [] then exit 4
+      if json then begin
+        let diags = V.verify_compiled c in
+        let label =
+          Printf.sprintf "%s/%s" w.W.name (V.cell_name (V.Mt (tech, coco)))
+        in
+        print_endline (Verify.to_json ~label ~name:w.W.func_name diags);
+        if diags <> [] then exit Render.exit_verify
+      end
+      else finish_outcome (Render.check_compiled c)
     end
     else finish_outcome (Render.check ~technique:tech ~coco ~threads w)
   in
@@ -357,8 +337,8 @@ let run_cmd =
   let run bench tech coco threads no_verify fuel trace metrics =
     let w = resolve_workload bench in
     let technique = resolve_technique tech in
-    with_obs trace metrics @@ fun () ->
-    finish_outcome
+    with_obs ~trace ~metrics @@ fun () ->
+    print_outcome
       (Render.run ?fuel ~verify:(not no_verify) ~technique ~coco ~threads w)
   in
   Cmd.v
@@ -414,8 +394,8 @@ let sweep_cmd =
   let run bench max_threads jobs fuel trace metrics =
     let w = resolve_workload bench in
     let jobs = resolve_jobs jobs in
-    with_obs trace metrics @@ fun () ->
-    finish_outcome (Render.sweep ~jobs ?fuel ~max_threads w)
+    with_obs ~trace ~metrics @@ fun () ->
+    print_outcome (Render.sweep ~jobs ?fuel ~max_threads w)
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep thread counts and report communication.")
@@ -769,9 +749,8 @@ let parse_listen s =
 
 let serve_cmd =
   let run socket listen self peers mem_capacity jobs cache_dir queue_bound
-      fuel_cap trace metrics =
+      fuel_cap =
     let jobs = resolve_jobs jobs in
-    with_obs trace metrics @@ fun () ->
     (* Degraded states (evictions, corrupt recoveries, busy replies)
        surface in the daemon's log the moment they happen, not only in
        post-mortem stats queries. *)
@@ -909,7 +888,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ listen_arg $ self_arg $ peers_arg
       $ mem_capacity_arg $ jobs_arg $ cache_dir_arg $ queue_bound_arg
-      $ fuel_cap_arg $ trace_arg $ metrics_arg)
+      $ fuel_cap_arg)
 
 (* ----------------------------- remote ----------------------------- *)
 
@@ -917,8 +896,8 @@ let serve_cmd =
    ships canonical GMT-IR text, and falls back to running the identical
    Render code in-process when no daemon answers — so remote output is
    byte-identical to offline output, daemon or not. The fallback is
-   loud: a one-line stderr warning plus a [client.fallback]
-   event/counter, never a silent mode switch.
+   loud: a one-line stderr warning plus a [client.fallback] event,
+   never a silent mode switch.
 
    [--socket] lists one endpoint or several, and every request goes
    through [Farm.request]: it routes to the shard owning the request's
@@ -945,8 +924,8 @@ let endpoints_arg =
            placement depends only on the names. One endpoint is a single \
            daemon; several form a consistent-hash farm.")
 
-let remote_finish ~specs ~key ~trace ~metrics ~op ~fallback req =
-  with_obs trace metrics @@ fun () ->
+let remote_finish ~specs ~key ~trace ~op ~fallback req =
+  with_obs ~trace ~metrics:None @@ fun () ->
   let req =
     if trace = None then req
     else
@@ -959,18 +938,18 @@ let remote_finish ~specs ~key ~trace ~metrics ~op ~fallback req =
         Farm.request (Farm.of_specs specs) ~key req)
   in
   match reply with
-  | Ok (o, _shard) -> finish_outcome o
+  | Ok (o, _shard) -> print_outcome o
   | Error `No_shard ->
     prerr_string (Client.warn_fallback ~socket:(String.concat "," specs) ());
     flush stderr;
-    finish_outcome (fallback ())
+    print_outcome (fallback ())
   | Error (`Busy msg) ->
     prerr_string msg;
     flush stderr;
-    exit Render.exit_busy
+    Render.exit_busy
   | Error (`Protocol msg) ->
-    Printf.eprintf "gmtc: remote: %s\n" msg;
-    exit 1
+    Printf.eprintf "gmtc: remote: %s\n%!" msg;
+    1
 
 (* run/check route by the cache fingerprint, so a cell's artifact and
    its shard coincide. An unknown technique has no fingerprint: it
@@ -982,12 +961,12 @@ let route_key tech ~coco ~threads ~gmt =
   | None -> Farm.sweep_key ~canonical:gmt
 
 let remote_run_cmd =
-  let run bench tech coco threads fuel specs trace metrics =
+  let run bench tech coco threads fuel specs trace =
     let w = resolve_workload bench in
     let gmt = Text.print w in
     remote_finish ~specs
       ~key:(route_key tech ~coco ~threads ~gmt)
-      ~trace ~metrics ~op:"run"
+      ~trace ~op:"run"
       ~fallback:(fun () ->
         let technique = resolve_technique tech in
         Render.run ?fuel ~technique ~coco ~threads w)
@@ -1001,15 +980,15 @@ let remote_run_cmd =
           per-stage spans are stitched into the written trace.")
     Term.(
       const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg
-      $ fuel_opt_arg $ endpoints_arg $ trace_arg $ metrics_arg)
+      $ fuel_opt_arg $ endpoints_arg $ trace_arg)
 
 let remote_check_cmd =
-  let run bench tech coco threads specs trace metrics =
+  let run bench tech coco threads specs trace =
     let w = resolve_workload bench in
     let gmt = Text.print w in
     remote_finish ~specs
       ~key:(route_key tech ~coco ~threads ~gmt)
-      ~trace ~metrics ~op:"check"
+      ~trace ~op:"check"
       ~fallback:(fun () ->
         let technique = resolve_technique tech in
         Render.check ~technique ~coco ~threads w)
@@ -1019,15 +998,15 @@ let remote_check_cmd =
     (Cmd.info "check" ~doc:"Like $(b,gmtc check), served by gmtd.")
     Term.(
       const run $ bench_arg $ technique_arg $ coco_arg $ threads_arg
-      $ endpoints_arg $ trace_arg $ metrics_arg)
+      $ endpoints_arg $ trace_arg)
 
 let remote_sweep_cmd =
-  let run bench max_threads fuel specs trace metrics =
+  let run bench max_threads fuel specs trace =
     let w = resolve_workload bench in
     let gmt = Text.print w in
     (* A sweep touches one fingerprint per thread count; routing by the
        program digest warms one shard with all of them. *)
-    remote_finish ~specs ~key:(Farm.sweep_key ~canonical:gmt) ~trace ~metrics
+    remote_finish ~specs ~key:(Farm.sweep_key ~canonical:gmt) ~trace
       ~op:"sweep"
       ~fallback:(fun () -> Render.sweep ~jobs:1 ?fuel ~max_threads w)
       (Client.sweep_request ~gmt ~max_threads ?fuel ())
@@ -1036,7 +1015,7 @@ let remote_sweep_cmd =
     (Cmd.info "sweep" ~doc:"Like $(b,gmtc sweep), served by gmtd.")
     Term.(
       const run $ bench_arg $ threads_arg $ fuel_opt_arg $ endpoints_arg
-      $ trace_arg $ metrics_arg)
+      $ trace_arg)
 
 (* A failed round trip to one daemon: print why and return the exit
    code. *)

@@ -234,6 +234,19 @@ let record_sim_metrics label (sim : Sim.result) =
       sim.Sim.queue_peak
   end
 
+let metrics_of_sim (sim : Sim.result) =
+  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 sim.Sim.per_core in
+  {
+    dyn_instrs = sum (fun c -> c.Sim.instrs);
+    comm_instrs = sum (fun c -> c.Sim.comm_instrs);
+    mem_syncs = sum (fun c -> c.Sim.sync_instrs);
+    cycles = sim.Sim.cycles;
+    deadlocked = sim.Sim.deadlocked;
+    fuel_exhausted = sim.Sim.fuel_exhausted;
+    stall_attr = sim.Sim.stall_attr;
+    queue_peak = sim.Sim.queue_peak;
+  }
+
 (* The one execution of a measured program: simulate it on the
    reference input and read every count off that run. *)
 let simulate ?fuel label mc ~(input : Workload.input) ~mem_size
@@ -244,18 +257,7 @@ let simulate ?fuel label mc ~(input : Workload.input) ~mem_size
           ~mem_size)
   in
   record_sim_metrics label sim;
-  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 sim.Sim.per_core in
-  ( sim,
-    {
-      dyn_instrs = sum (fun c -> c.Sim.instrs);
-      comm_instrs = sum (fun c -> c.Sim.comm_instrs);
-      mem_syncs = sum (fun c -> c.Sim.sync_instrs);
-      cycles = sim.Sim.cycles;
-      deadlocked = sim.Sim.deadlocked;
-      fuel_exhausted = sim.Sim.fuel_exhausted;
-      stall_attr = sim.Sim.stall_attr;
-      queue_peak = sim.Sim.queue_peak;
-    } )
+  (sim, metrics_of_sim sim)
 
 let measure_reference ?fuel (w : Workload.t) =
   let p =

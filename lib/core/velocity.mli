@@ -146,6 +146,11 @@ type metrics = {
   queue_peak : int array;  (** peak occupancy per physical queue *)
 }
 
+(** The metrics of one simulation as every measurement reads them: its
+    per-core counts summed, with its cycles, flags, stall attribution
+    and queue peaks. *)
+val metrics_of_sim : Gmt_machine.Sim.result -> metrics
+
 (** {2 Measurement}
 
     Every measured program executes once, in the cycle simulator.

@@ -38,7 +38,7 @@ let build_reach cfg =
   fun (i_block, i_pos) (j_block, j_pos) ->
     (i_block = j_block && i_pos < j_pos) || from_succ.(i_block).(j_block)
 
-let build ?(disambiguate_offsets = false) ?prune_mem (f : Func.t) =
+let build ?prune_mem (f : Func.t) =
   Gmt_obs.Obs.span ~args:[ ("func", Gmt_obs.Obs.S f.name) ] "pdg.build"
   @@ fun () ->
   let cfg = f.cfg in
@@ -71,36 +71,6 @@ let build ?(disambiguate_offsets = false) ?prune_mem (f : Func.t) =
       end);
   let mem_instrs = List.rev !mem_instrs in
   let reach = build_reach cfg in
-  (* Optional offset-based disambiguation: same region, same
-     loop-invariant base, distinct constant offsets => no dependence. *)
-  let nest = lazy (Analysis.Loopnest.compute f) in
-  let base_off (i : Instr.t) =
-    match i.op with
-    | Instr.Load (_, _, base, off) -> Some (base, off)
-    | Instr.Store (_, base, off, _) -> Some (base, off)
-    | _ -> None
-  in
-  let invariant_base_def (i : Instr.t) base =
-    match Analysis.Reaching.defs_of_reg_before reaching i.id base with
-    | [ d ] ->
-      if Analysis.Reaching.is_entry_def d then Some d
-      else begin
-        let l, _ = Cfg.position cfg d in
-        if Analysis.Loopnest.depth (Lazy.force nest) l = 0 then Some d
-        else None
-      end
-    | _ -> None
-  in
-  let provably_disjoint (i : Instr.t) (j : Instr.t) =
-    disambiguate_offsets
-    &&
-    match (base_off i, base_off j) with
-    | Some (bi, oi), Some (bj, oj) when Reg.equal bi bj && oi <> oj -> (
-      match (invariant_base_def i bi, invariant_base_def j bj) with
-      | Some di, Some dj -> di = dj
-      | _ -> false)
-    | _ -> false
-  in
   (* Abstract-interpretation disambiguation: drop a memory arc when the
      value analysis proves the two accesses' address sets disjoint. *)
   let memdis =
@@ -125,7 +95,7 @@ let build ?(disambiguate_offsets = false) ?prune_mem (f : Func.t) =
     (fun ((i : Instr.t), pi) ->
       List.iter
         (fun ((j : Instr.t), pj) ->
-          if i.id <> j.id && reach pi pj && not (provably_disjoint i j) then
+          if i.id <> j.id && reach pi pj then
             match Analysis.Alias.dep_kind ~earlier:i ~later:j with
             | Some k -> (
               match memdis with

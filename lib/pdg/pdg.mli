@@ -26,23 +26,18 @@ type arc = { src : int; dst : int; kind : kind }
 
 type t
 
-(** [build ?disambiguate_offsets f] — with [disambiguate_offsets] (off by
-    default, matching the paper's setup), same-region accesses through the
-    {e same loop-invariant base register} at distinct constant offsets are
-    proved independent, an instance of the "more powerful memory
-    disambiguation" the paper suggests would let DSWP benefit more from
-    COCO. Soundness: the shared base must have a single reaching
-    definition at both accesses and that definition must lie outside all
-    loops (otherwise the base changes across iterations and distinct
-    offsets of different iterations can still collide).
-
-    With [prune_mem] (the machine memory size), the {!Gmt_analysis.Memdis}
-    abstract-interpretation disambiguator additionally drops memory arcs
-    between accesses whose address sets it proves disjoint; the count of
-    arcs so pruned is {!mem_pruned} (and the [pdg.arcs.mem_pruned]
-    metric). Off by default so the raw PDG semantics — and every direct
-    caller — are unchanged; {!Gmt_core.Velocity.compile} turns it on. *)
-val build : ?disambiguate_offsets:bool -> ?prune_mem:int -> Func.t -> t
+(** [build ?prune_mem f] — with [prune_mem] (the machine memory size),
+    the {!Gmt_analysis.Memdis} abstract-interpretation disambiguator
+    drops memory arcs between accesses whose address sets it proves
+    disjoint, an instance of the "more powerful memory disambiguation"
+    the paper suggests would let DSWP benefit more from COCO. Addresses
+    wrap modulo [prune_mem], so [b+0] and [b+prune_mem] stay dependent.
+    The count of arcs so pruned is {!mem_pruned} (and the
+    [pdg.arcs.mem_pruned] metric). Off by default so the raw PDG
+    semantics — and every direct caller — are unchanged;
+    {!Gmt_core.Velocity.compile} turns it on, and {!Gmt_verify.Verify}
+    re-derives the disjointness facts from the source function. *)
+val build : ?prune_mem:int -> Func.t -> t
 
 (** Memory arcs dropped by the [prune_mem] disambiguator (0 when off). *)
 val mem_pruned : t -> int

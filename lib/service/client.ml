@@ -259,12 +259,11 @@ let request ~socket req =
 (* The documented silent fallback, made loud: called by drivers when a
    remote call found no daemon and is about to compile locally. The
    reply bytes stay byte-identical to the daemon's (same [Render]
-   path); only this structured event, a metrics counter, and the
-   returned stderr line distinguish degraded mode. *)
+   path); only this structured event and the returned stderr line
+   distinguish degraded mode. *)
 let warn_fallback ~socket () =
   Events.emit ~severity:Events.Warn ~kind:"client.fallback"
     [ ("socket", Json.Str socket) ];
-  Obs.Metrics.add "client.fallback" 1;
   Printf.sprintf
     "gmtc: warning: no daemon at %s; falling back to local compile\n" socket
 

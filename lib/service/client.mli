@@ -100,8 +100,7 @@ val ping : socket:string -> (string, [> error ]) result
 val stats : socket:string -> (Gmt_obs.Json.t, [> error ]) result
 
 (** Record that a remote call is falling back to offline compilation:
-    emits a [client.fallback] warning event, bumps the
-    [client.fallback] metrics counter, and returns the one-line stderr
-    warning for the driver to print. The outcome bytes themselves stay
-    identical to what the daemon would have served. *)
+    emits a [client.fallback] warning event and returns the one-line
+    stderr warning for the driver to print. The outcome bytes
+    themselves stay identical to what the daemon would have served. *)
 val warn_fallback : socket:string -> unit -> string

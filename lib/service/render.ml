@@ -280,18 +280,14 @@ let verified_outcome ~label ~threads ~cache_status (e : Cache.entry) =
     cache_status;
   }
 
-(* A check whose lookup missed (or that has no cache): compile
-   unverified, validate, and store only clean code. *)
-let check_miss ?cache ~technique ~coco ~threads (w : W.t) =
-  let label = cell_label w.W.name technique coco in
-  let cache_status = if cache = None then "none" else "miss" in
-  guarded (ref cache_status) @@ fun () ->
-  let c =
-    Obs.span ~cat:"stage" "req.compile" (fun () ->
-        V.compile ~n_threads:threads ~coco ~verify:false technique w)
-  in
+(* The verdict renderer: validate [c], and report it verified, storing
+   it when there is a cache, or report the validator's diagnostics. *)
+let verdict ?cache ~cache_status (c : V.compiled) =
+  let label = cell_label c.V.workload.W.name c.V.technique c.V.coco in
   match V.verify_compiled c with
-  | [] -> verified_outcome ~label ~threads ~cache_status (store cache c)
+  | [] ->
+    verified_outcome ~label ~threads:c.V.n_threads ~cache_status
+      (store cache c)
   | diags ->
     {
       out = "";
@@ -303,8 +299,20 @@ let check_miss ?cache ~technique ~coco ~threads (w : W.t) =
       cache_status;
     }
 
+(* A check whose lookup missed (or that has no cache): compile
+   unverified, validate, and store only clean code. *)
+let check_miss ?cache ~technique ~coco ~threads (w : W.t) =
+  let cache_status = if cache = None then "none" else "miss" in
+  guarded (ref cache_status) @@ fun () ->
+  verdict ?cache ~cache_status
+    (Obs.span ~cat:"stage" "req.compile" (fun () ->
+         V.compile ~n_threads:threads ~coco ~verify:false technique w))
+
 let check ~technique ~coco ~threads w =
   check_miss ~technique ~coco ~threads w
+
+let check_compiled c =
+  guarded (ref "none") (fun () -> verdict ~cache_status:"none" c)
 
 (* The service's hot path: the caller keyed the received text as-is,
    and parsing is paid only on a miss. A hit needs no [Workload.t] at

@@ -140,6 +140,12 @@ val check :
   Workload.t ->
   outcome
 
+(** [check_compiled c] is {!check}'s verdict on code compiled by the
+    caller, unverified: the same verified and translation validation
+    FAILED lines, with {!exit_verify} on a rejection. [gmtc check
+    --inject] seeds a miscompile into [c] before handing it here. *)
+val check_compiled : V.compiled -> outcome
+
 (** [check_text] is {!check} taking the GMT-IR text itself. [cache]
     pairs the artifact cache with the cell's key, the {!fingerprint} the
     caller computed over the received bytes: a hit serves the stored

@@ -117,9 +117,11 @@ let test_memory_distinct_regions_no_arcs () =
   Alcotest.(check bool) "no cross-region arc" false
     (has_arc pdg ~src:s1.Instr.id ~dst:s2.Instr.id is_mem)
 
-(* Offset disambiguation extension: same invariant base + distinct
-   constant offsets => independent; loop-variant bases stay dependent. *)
-let offset_funcs ~variant_base =
+(* Offset disambiguation by the [prune_mem] pruner on a 1024-word
+   memory: one invariant base at distinct constant offsets =>
+   independent; a loop-variant base, or offsets equal modulo the memory
+   size (addresses wrap), stay dependent. *)
+let offset_funcs ?(load_off = 1) ~variant_base () =
   let b = Builder.create ~name:"offsets" () in
   let n = Builder.reg b in
   let base = Builder.reg b in
@@ -136,7 +138,7 @@ let offset_funcs ~variant_base =
   if variant_base then
     ignore (Builder.add b b1 (Instr.Binop (Instr.Add, base, i, one)));
   let s0 = Builder.add b b1 (Instr.Store (m, base, 0, i)) in
-  let l1 = Builder.add b b1 (Instr.Load (m, v, base, 1)) in
+  let l1 = Builder.add b b1 (Instr.Load (m, v, base, load_off)) in
   ignore (Builder.add b b1 (Instr.Binop (Instr.Add, i, i, one)));
   ignore (Builder.add b b1 (Instr.Binop (Instr.Lt, c, i, n)));
   ignore (Builder.terminate b b1 (Instr.Branch (c, b1, b2)));
@@ -145,9 +147,9 @@ let offset_funcs ~variant_base =
   (f, s0.Instr.id, l1.Instr.id)
 
 let test_offset_disambiguation () =
-  let f, st, ld = offset_funcs ~variant_base:false in
+  let f, st, ld = offset_funcs ~variant_base:false () in
   let pdg_off = Pdg.build f in
-  let pdg_on = Pdg.build ~disambiguate_offsets:true f in
+  let pdg_on = Pdg.build ~prune_mem:1024 f in
   Alcotest.(check bool) "conservative: dependent" true
     (has_arc pdg_off ~src:st ~dst:ld is_mem);
   Alcotest.(check bool) "disambiguated: independent" false
@@ -156,11 +158,20 @@ let test_offset_disambiguation () =
     (has_arc pdg_on ~src:ld ~dst:st is_mem)
 
 let test_offset_disambiguation_loop_variant_base () =
-  let f, st, ld = offset_funcs ~variant_base:true in
-  let pdg_on = Pdg.build ~disambiguate_offsets:true f in
+  let f, st, ld = offset_funcs ~variant_base:true () in
+  let pdg_on = Pdg.build ~prune_mem:1024 f in
   (* base changes every iteration: store@k+0 can equal load@k'+1 *)
   Alcotest.(check bool) "variant base stays dependent" true
     (has_arc pdg_on ~src:st ~dst:ld is_mem)
+
+let test_offset_disambiguation_wraps () =
+  let f, st, ld = offset_funcs ~load_off:1024 ~variant_base:false () in
+  let pdg_on = Pdg.build ~prune_mem:1024 f in
+  (* [base+0] and [base+1024] are one word of a 1024-word memory *)
+  Alcotest.(check bool) "wrapped offset stays dependent" true
+    (has_arc pdg_on ~src:st ~dst:ld is_mem);
+  Alcotest.(check bool) "and its reverse" true
+    (has_arc pdg_on ~src:ld ~dst:st is_mem)
 
 let test_to_digraph_roundtrip () =
   let fx = Test_util.fig3 () in
@@ -260,6 +271,8 @@ let tests =
       test_offset_disambiguation;
     Alcotest.test_case "offset disambiguation loop-variant" `Quick
       test_offset_disambiguation_loop_variant_base;
+    Alcotest.test_case "offset disambiguation wraps" `Quick
+      test_offset_disambiguation_wraps;
     Alcotest.test_case "to_digraph roundtrip" `Quick test_to_digraph_roundtrip;
     Alcotest.test_case "preds/succs consistent" `Quick
       test_preds_succs_consistent;
