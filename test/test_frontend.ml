@@ -86,6 +86,122 @@ let golden_errors =
       "t.gmt:5:17: region m4 out of range (func declares 1 region)";
   ]
 
+(* ------------------------ lexer diagnostics ----------------------- *)
+
+let header = "func \"t\" (regs: 3, live_in: [r0], live_out: [])"
+
+(* [base_func] with its regions line and block body replaced: the cases
+   below put one bad token in either. *)
+let func_with ?(regions = "regions: [m0 = \"m0\"]") body =
+  String.concat "\n" ([ header; regions; "entry: B0"; "B0:" ] @ body)
+
+(* A source that ends inside the regions line, with no final newline. *)
+let regions_eof rest = header ^ "\nregions: [m0 = " ^ rest
+
+let lexer_errors =
+  [
+    check_error "unterminated string" (regions_eof "\"abc")
+      "t.gmt:2:16: unterminated string literal";
+    check_error "newline in string"
+      (func_with ~regions:"regions: [m0 = \"ab" [ "  i0: return"; "" ])
+      "t.gmt:2:19: newline in string literal (use \\n)";
+    check_error "unterminated escape" (regions_eof "\"ab\\")
+      "t.gmt:2:19: unterminated escape in string literal";
+    check_error "truncated \\xHH escape" (regions_eof "\"\\x4")
+      "t.gmt:2:17: truncated \\xHH escape";
+    check_error "invalid \\x escape"
+      (func_with ~regions:"regions: [m0 = \"\\xZZ\"]" [ "  i0: return"; "" ])
+      "t.gmt:2:17: invalid \\x escape \"\\xZZ\"";
+    check_error "unknown escape"
+      (func_with ~regions:"regions: [m0 = \"\\q\"]" [ "  i0: return"; "" ])
+      "t.gmt:2:17: unknown escape '\\q' in string";
+    check_error "bare minus"
+      (func_with [ "  i0: r1 = sub r0, -r0"; "  i1: return"; "" ])
+      "t.gmt:5:20: unexpected '-' (only integer literals may be negative)";
+    check_error "unexpected character"
+      (func_with [ "  i0: r1 = add r0, @r0"; "  i1: return"; "" ])
+      "t.gmt:5:20: unexpected character '@'";
+    check_error "unexpected byte"
+      (func_with [ "  i0: r1 = add r0, \xc3\xa9"; "  i1: return"; "" ])
+      "t.gmt:5:20: unexpected character '\\195'";
+  ]
+
+(* The literals a hand-rolled scanner gets wrong: both ends of the
+   63-bit range parse, one past either end does not, and neither does
+   any 19- or 20-digit form beyond them; leading zeros do not count
+   against a literal. *)
+let test_int_literals () =
+  let src lit = func_with [ "  i0: r1 = " ^ lit; "  i1: return"; "" ] in
+  List.iter
+    (fun (lit, v) ->
+      match Text.parse_func ~file:"t.gmt" (src lit) with
+      | Error e -> Alcotest.failf "%s: %s" lit (Text.render_error e)
+      | Ok f -> (
+        match (Gmt_ir.Cfg.block f.Gmt_ir.Func.cfg 0).Gmt_ir.Cfg.body with
+        | { Gmt_ir.Instr.op = Gmt_ir.Instr.Const (_, k); _ } :: _ ->
+          Alcotest.(check int) lit v k
+        | _ -> Alcotest.failf "%s: not a constant" lit))
+    [
+      ("4611686018427387903", max_int);
+      ("-4611686018427387904", min_int);
+      ("000000000000000000000042", 42);
+      ("-000000000000000000000042", -42);
+      ("-0", 0);
+    ];
+  List.iter
+    (fun lit ->
+      match Text.parse_func ~file:"t.gmt" (src lit) with
+      | Ok _ -> Alcotest.failf "%s parsed" lit
+      | Error e ->
+        Alcotest.(check string) lit
+          (Printf.sprintf "t.gmt:5:12: integer literal %s out of range" lit)
+          (Text.render_error e))
+    [
+      "4611686018427387904"; "-4611686018427387905"; "9999999999999999999";
+      "-9999999999999999999"; "18446744073709551616"; "-18446744073709551616";
+    ]
+
+(* ----------------------- document diagnostics --------------------- *)
+
+let check_doc_error name src expected =
+  Alcotest.test_case name `Quick (fun () ->
+      match Text.parse ~file:"t.gmt" src with
+      | Ok _ -> Alcotest.failf "%s: parse unexpectedly succeeded" name
+      | Error e ->
+        Alcotest.(check string) name expected (Text.render_error e))
+
+(* A whole document whose function ends on line 7; [rest] follows. *)
+let doc rest =
+  String.concat "\n"
+    ([
+       "gmt-ir v1"; "workload \"t\""; header; "regions: [m0 = \"m0\"]";
+       "entry: B0"; "B0:"; "  i0: return"; "";
+     ]
+    @ rest)
+
+let document_errors =
+  [
+    check_doc_error "input: mem line missing ']'"
+      (doc [ "input train {"; "  mem[1 = 2"; "}"; "" ])
+      "t.gmt:10:9: expected ']', got '='";
+    check_doc_error "input: duplicate train"
+      (doc [ "input train {"; "  mem[1] = 2"; "}"; "input train {"; "}"; "" ])
+      "t.gmt:12:7: duplicate 'input train' section";
+    check_doc_error "input: end of input after a newline"
+      (doc [ "input train {"; "  mem[1] = 2"; "" ])
+      "t.gmt:11:1: expected a register binding (rN = V) or mem[A] = V or \
+       '}', got end of input";
+    check_doc_error "input: end of input without a newline"
+      (doc [ "input train {"; "  mem[1] = 2" ])
+      "t.gmt:10:13: expected a register binding (rN = V) or mem[A] = V or \
+       '}', got end of input";
+    check_doc_error "input: end of input inside a mem line"
+      (doc [ "input ref {"; "  mem[1] =" ])
+      "t.gmt:10:11: expected a value, got end of input";
+    check_doc_error "empty document" ""
+      "t.gmt:1:1: expected 'gmt-ir', got end of input";
+  ]
+
 let test_golden_roundtrip () =
   match Text.parse_func ~file:"t.gmt" base_func with
   | Error e -> Alcotest.failf "base_func: %s" (Text.render_error e)
@@ -205,9 +321,129 @@ let test_parse_pos_total () =
           (pos (Gmt_ir.Cfg.max_instr_id w'.W.func.Gmt_ir.Func.cfg + 1000)))
     (Suite.all ())
 
+(* The id of the instruction a canonical line holds: ["  iN: ..."]. *)
+let iid_of_line line =
+  let n = String.length line in
+  let rec digits j =
+    if j < n && line.[j] >= '0' && line.[j] <= '9' then digits (j + 1) else j
+  in
+  if n > 3 && String.sub line 0 3 = "  i" then
+    let j = digits 3 in
+    if j > 3 && j < n && line.[j] = ':' then
+      int_of_string_opt (String.sub line 3 (j - 3))
+    else None
+  else None
+
+(* Every corpus file (the suite's canonical text): each instruction's
+   position is where its [  iN:] sits in the text, read off the text
+   itself rather than from the parser. *)
+let test_parse_pos_matches_text () =
+  List.iter
+    (fun (w : W.t) ->
+      let text = Text.print w in
+      let expected =
+        List.concat
+          (List.mapi
+             (fun idx line ->
+               match iid_of_line line with
+               | Some id -> [ (id, (idx + 1, 3)) ]
+               | None -> [])
+             (String.split_on_char '\n' text))
+      in
+      match Text.parse_pos ~file:(w.W.name ^ ".gmt") text with
+      | Error e -> Alcotest.failf "%s: %s" w.W.name (Text.render_error e)
+      | Ok (w', pos) ->
+        let n = ref 0 in
+        Gmt_ir.Cfg.iter_instrs w'.W.func.Gmt_ir.Func.cfg (fun _ _ -> incr n);
+        Alcotest.(check int)
+          (w.W.name ^ " one iN: line per instruction")
+          !n (List.length expected);
+        List.iter
+          (fun (id, at) ->
+            Alcotest.(check (option (pair int int)))
+              (Printf.sprintf "%s i%d" w.W.name id)
+              (Some at) (pos id))
+          expected)
+    (Suite.all ())
+
+(* ------------------------- byte-edit fuzzing ---------------------- *)
+
+(* Random insertions, deletions and replacements of bytes in ks.gmt,
+   drawn mostly from the bytes the grammar gives a meaning to. Whatever
+   the edits, [parse] returns: an [Ok] prints and re-parses to an equal
+   workload, and an [Error] names a line and column inside the source
+   (one past a line's last byte included, where end of input sits). *)
+type edit = Insert of int * char | Delete of int | Replace of int * char
+
+let ks_text = lazy (Text.print (Suite.find "ks"))
+
+let apply_edit src = function
+  | Insert (p, c) ->
+    let p = p mod (String.length src + 1) in
+    String.sub src 0 p ^ String.make 1 c ^ String.sub src p (String.length src - p)
+  | Delete p when src <> "" ->
+    let p = p mod String.length src in
+    String.sub src 0 p ^ String.sub src (p + 1) (String.length src - p - 1)
+  | Replace (p, c) when src <> "" ->
+    let p = p mod String.length src in
+    String.mapi (fun i b -> if i = p then c else b) src
+  | Delete _ | Replace _ -> src
+
+let show_edit = function
+  | Insert (p, c) -> Printf.sprintf "insert %C at %d" c p
+  | Delete p -> Printf.sprintf "delete at %d" p
+  | Replace (p, c) -> Printf.sprintf "replace at %d by %C" p c
+
+let arbitrary_edits =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (3, oneofl (List.init 10 (fun d -> Char.chr (48 + d))));
+        (3, oneofl (List.of_seq (String.to_seq "\"\\-#[]{}():,=?+_.xnrtmBiq \n")));
+        (1, map Char.chr (int_range 0 255));
+      ]
+  in
+  let pos = int_range 0 100_000 in
+  let edit =
+    frequency
+      [
+        (2, map2 (fun p c -> Insert (p, c)) pos byte);
+        (1, map (fun p -> Delete p) pos);
+        (2, map2 (fun p c -> Replace (p, c)) pos byte);
+      ]
+  in
+  QCheck.make
+    ~print:(fun es -> String.concat "; " (List.map show_edit es))
+    (list_size (int_range 1 4) edit)
+
+let prop_byte_edits =
+  QCheck.Test.make ~count:500 ~name:"parse survives byte edits to ks.gmt"
+    arbitrary_edits (fun edits ->
+      let src = List.fold_left apply_edit (Lazy.force ks_text) edits in
+      match Text.parse ~file:"ks.gmt" src with
+      | exception e ->
+        QCheck.Test.fail_reportf "parse raised %s" (Printexc.to_string e)
+      | Ok w -> (
+        match Text.parse (Text.print w) with
+        | Ok w' -> Text.workload_equal w w'
+        | Error e ->
+          QCheck.Test.fail_reportf "re-parse: %s" (Text.render_error e))
+      | Error e ->
+        let lines = Array.of_list (String.split_on_char '\n' src) in
+        e.Text.file = "ks.gmt"
+        && e.Text.line >= 1
+        && e.Text.line <= Array.length lines
+        && e.Text.col >= 1
+        && e.Text.col <= String.length lines.(e.Text.line - 1) + 1)
+
 let tests =
-  golden_errors
+  golden_errors @ lexer_errors @ document_errors
   @ [
+      Alcotest.test_case "integer literal bounds" `Quick test_int_literals;
+      Alcotest.test_case "parse_pos matches the text" `Quick
+        test_parse_pos_matches_text;
+      QCheck_alcotest.to_alcotest prop_byte_edits;
       Alcotest.test_case "canonical print round-trips" `Quick
         test_golden_roundtrip;
       QCheck_alcotest.to_alcotest prop_roundtrip;
