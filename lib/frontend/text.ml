@@ -38,128 +38,170 @@ let is_ident_char c =
 
 let is_digit c = c >= '0' && c <= '9'
 
-(* One pass over the whole source; every token carries its 1-based
-   line:col. Comments run from '#' to end of line. *)
-let tokenize ~file src =
-  let n = String.length src in
-  let toks = ref [] in
-  let line = ref 1 and bol = ref 0 in
-  let err i msg =
-    raise (Error { file; line = !line; col = i - !bol + 1; msg })
-  in
-  let i = ref 0 in
-  let emit ~at t = toks := { t; line = !line; col = at - !bol + 1 } :: !toks in
-  while !i < n do
-    let c = src.[!i] in
-    let at = !i in
-    (match c with
-    | ' ' | '\t' | '\r' -> incr i
+(* The parser pulls tokens from the source one at a time: [i] is the
+   next byte to lex, and the lookahead token is lexed only when the
+   parser first asks for it, so no token outlives the next one and the
+   first error in the text is the one reported. *)
+type state = {
+  file : string;
+  src : string;
+  mutable i : int;
+  mutable line : int;  (* 1-based line of byte [i] *)
+  mutable bol : int;  (* offset of that line's first byte *)
+  mutable tok : tok;  (* the lookahead, when [ready] *)
+  mutable tline : int;
+  mutable tcol : int;
+  mutable ready : bool;
+}
+
+let lex_error st i msg =
+  raise (Error { file = st.file; line = st.line; col = i - st.bol + 1; msg })
+
+let emit st tok next =
+  st.tok <- tok;
+  st.i <- next;
+  st.ready <- true
+
+(* Whitespace and comments (from '#' to end of line) before a token. *)
+let rec skip st i =
+  if i >= String.length st.src then i
+  else
+    match st.src.[i] with
+    | ' ' | '\t' | '\r' -> skip st (i + 1)
     | '\n' ->
-      incr i;
-      incr line;
-      bol := !i
-    | '#' ->
-      while !i < n && src.[!i] <> '\n' do
-        incr i
-      done
-    | '(' -> emit ~at LPAREN; incr i
-    | ')' -> emit ~at RPAREN; incr i
-    | '[' -> emit ~at LBRACKET; incr i
-    | ']' -> emit ~at RBRACKET; incr i
-    | '{' -> emit ~at LBRACE; incr i
-    | '}' -> emit ~at RBRACE; incr i
-    | ':' -> emit ~at COLON; incr i
-    | ',' -> emit ~at COMMA; incr i
-    | '=' -> emit ~at EQUALS; incr i
-    | '?' -> emit ~at QUESTION; incr i
-    | '+' -> emit ~at PLUS; incr i
-    | '"' ->
-      (* Inverse of Printer.escape_string. *)
-      let buf = Buffer.create 16 in
-      incr i;
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        (match src.[!i] with
-        | '"' ->
-          closed := true;
-          incr i
-        | '\\' ->
-          if !i + 1 >= n then err !i "unterminated escape in string literal";
-          (match src.[!i + 1] with
-          | '"' -> Buffer.add_char buf '"'; i := !i + 2
-          | '\\' -> Buffer.add_char buf '\\'; i := !i + 2
-          | 'n' -> Buffer.add_char buf '\n'; i := !i + 2
-          | 't' -> Buffer.add_char buf '\t'; i := !i + 2
-          | 'r' -> Buffer.add_char buf '\r'; i := !i + 2
-          | 'x' ->
-            if !i + 3 >= n then err !i "truncated \\xHH escape";
-            let hex = String.sub src (!i + 2) 2 in
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some b -> Buffer.add_char buf (Char.chr b)
-            | None ->
-              err !i (Printf.sprintf "invalid \\x escape \"\\x%s\"" hex));
-            i := !i + 4
-          | c ->
-            err !i (Printf.sprintf "unknown escape '\\%c' in string" c))
-        | '\n' -> err !i "newline in string literal (use \\n)"
-        | c ->
+      st.line <- st.line + 1;
+      st.bol <- i + 1;
+      skip st (i + 1)
+    | '#' -> skip st (comment st.src (i + 1))
+    | _ -> i
+
+and comment src i =
+  if i >= String.length src || src.[i] = '\n' then i else comment src (i + 1)
+
+let rec digits src i =
+  if i < String.length src && is_digit src.[i] then digits src (i + 1) else i
+
+(* The value of the digits [src.[k..j)], added to [v]'s. *)
+let rec decimal src k j v =
+  if k = j then v else decimal src (k + 1) j ((10 * v) + Char.code src.[k] - 48)
+
+let rec ident_end src i =
+  let n = String.length src in
+  if
+    i < n
+    && (is_ident_char src.[i]
+       || (src.[i] = '-' && i + 1 < n && is_ident_start src.[i + 1]))
+  then ident_end src (i + 1)
+  else i
+
+(* The integer literal [src.[at..j)], a '-' then digits from [d]. Up to
+   18 digits cannot overflow and are read in place; a longer literal
+   takes int_of_string_opt's range check. *)
+let lex_int st ~at ~d =
+  let src = st.src in
+  let j = digits src d in
+  if j - d <= 18 then
+    let v = decimal src d j 0 in
+    emit st (INT (if d > at then -v else v)) j
+  else
+    let s = String.sub src at (j - at) in
+    match int_of_string_opt s with
+    | Some v -> emit st (INT v) j
+    | None -> lex_error st at (Printf.sprintf "integer literal %s out of range" s)
+
+(* The string literal opening at [at]: the inverse of
+   Printer.escape_string. *)
+let lex_string st ~at =
+  let src = st.src in
+  let n = String.length src in
+  let buf = Buffer.create 16 in
+  let rec go i =
+    if i >= n then lex_error st at "unterminated string literal"
+    else
+      match src.[i] with
+      | '"' -> emit st (STRING (Buffer.contents buf)) (i + 1)
+      | '\\' ->
+        if i + 1 >= n then lex_error st i "unterminated escape in string literal";
+        let esc c =
           Buffer.add_char buf c;
-          incr i)
-      done;
-      if not !closed then err at "unterminated string literal";
-      emit ~at (STRING (Buffer.contents buf))
+          go (i + 2)
+        in
+        (match src.[i + 1] with
+        | '"' -> esc '"'
+        | '\\' -> esc '\\'
+        | 'n' -> esc '\n'
+        | 't' -> esc '\t'
+        | 'r' -> esc '\r'
+        | 'x' ->
+          if i + 3 >= n then lex_error st i "truncated \\xHH escape";
+          let hex = String.sub src (i + 2) 2 in
+          (match int_of_string_opt ("0x" ^ hex) with
+          | Some b -> Buffer.add_char buf (Char.chr b)
+          | None ->
+            lex_error st i (Printf.sprintf "invalid \\x escape \"\\x%s\"" hex));
+          go (i + 4)
+        | c -> lex_error st i (Printf.sprintf "unknown escape '\\%c' in string" c))
+      | '\n' -> lex_error st i "newline in string literal (use \\n)"
+      | c ->
+        Buffer.add_char buf c;
+        go (i + 1)
+  in
+  go (at + 1)
+
+(* Lex the token at [st.i] into the lookahead. *)
+let lex st =
+  let src = st.src in
+  let at = skip st st.i in
+  st.tline <- st.line;
+  st.tcol <- at - st.bol + 1;
+  if at >= String.length src then emit st EOF at
+  else
+    match src.[at] with
+    | '(' -> emit st LPAREN (at + 1)
+    | ')' -> emit st RPAREN (at + 1)
+    | '[' -> emit st LBRACKET (at + 1)
+    | ']' -> emit st RBRACKET (at + 1)
+    | '{' -> emit st LBRACE (at + 1)
+    | '}' -> emit st RBRACE (at + 1)
+    | ':' -> emit st COLON (at + 1)
+    | ',' -> emit st COMMA (at + 1)
+    | '=' -> emit st EQUALS (at + 1)
+    | '?' -> emit st QUESTION (at + 1)
+    | '+' -> emit st PLUS (at + 1)
+    | '"' -> lex_string st ~at
     | '-' ->
-      if !i + 1 < n && is_digit src.[!i + 1] then begin
-        let j = ref (!i + 1) in
-        while !j < n && is_digit src.[!j] do
-          incr j
-        done;
-        let s = String.sub src !i (!j - !i) in
-        (match int_of_string_opt s with
-        | Some v -> emit ~at (INT v)
-        | None -> err at (Printf.sprintf "integer literal %s out of range" s));
-        i := !j
-      end
-      else err at "unexpected '-' (only integer literals may be negative)"
-    | c when is_digit c ->
-      let j = ref !i in
-      while !j < n && is_digit src.[!j] do
-        incr j
-      done;
-      let s = String.sub src !i (!j - !i) in
-      (match int_of_string_opt s with
-      | Some v -> emit ~at (INT v)
-      | None -> err at (Printf.sprintf "integer literal %s out of range" s));
-      i := !j
+      if at + 1 < String.length src && is_digit src.[at + 1] then
+        lex_int st ~at ~d:(at + 1)
+      else
+        lex_error st at "unexpected '-' (only integer literals may be negative)"
+    | c when is_digit c -> lex_int st ~at ~d:at
     | c when is_ident_start c ->
       (* '-' joins identifier parts when a letter follows ("gmt-ir"),
          and never a digit, so negative integer literals stay intact. *)
-      let j = ref !i in
-      while
-        !j < n
-        && (is_ident_char src.[!j]
-           || (src.[!j] = '-' && !j + 1 < n && is_ident_start src.[!j + 1]))
-      do
-        incr j
-      done;
-      emit ~at (IDENT (String.sub src !i (!j - !i)));
-      i := !j
-    | c -> err at (Printf.sprintf "unexpected character %C" c))
-  done;
-  toks := { t = EOF; line = !line; col = n - !bol + 1 } :: !toks;
-  Array.of_list (List.rev !toks)
+      let j = ident_end src (at + 1) in
+      emit st (IDENT (String.sub src at (j - at))) j
+    | c -> lex_error st at (Printf.sprintf "unexpected character %C" c)
 
 (* ----------------------------- parser ----------------------------- *)
 
-type state = { file : string; toks : ptok array; mutable pos : int }
+let peek st =
+  if not st.ready then lex st;
+  st.tok
 
-let peek st = st.toks.(st.pos)
-let advance st = st.pos <- min (st.pos + 1) (Array.length st.toks - 1)
+let advance st =
+  if not st.ready then lex st;
+  st.ready <- false
+
+(* The lookahead with its position, for an error or a recorded
+   position. *)
+let here st =
+  let t = peek st in
+  { t; line = st.tline; col = st.tcol }
 
 let next st =
-  let t = peek st in
-  advance st;
-  t
+  let p = here st in
+  st.ready <- false;
+  p
 
 let fail_at st (p : ptok) fmt =
   Printf.ksprintf
@@ -172,23 +214,34 @@ let unexpected st (p : ptok) ~expected =
   fail_at st p "expected %s, got %s" (String.concat " or " expected)
     (tok_desc p.t)
 
+(* The lookahead's unexpected-token error. *)
+let unexpected_here st ~expected = unexpected st (here st) ~expected
+
+(* The [expect_*] family consumes the lookahead without building its
+   [ptok]: every [mem[A] = V] line goes through them. [t] carries no
+   payload, so physical equality decides it. *)
 let expect_tok st t ~what =
-  let p = next st in
-  if p.t <> t then unexpected st p ~expected:[ what ]
+  if peek st == t then st.ready <- false
+  else unexpected_here st ~expected:[ what ]
 
 let expect_int st ~what =
-  let p = next st in
-  match p.t with INT v -> v | _ -> unexpected st p ~expected:[ what ]
+  match peek st with
+  | INT v ->
+    st.ready <- false;
+    v
+  | _ -> unexpected_here st ~expected:[ what ]
 
 let expect_string st ~what =
-  let p = next st in
-  match p.t with STRING s -> s | _ -> unexpected st p ~expected:[ what ]
+  match peek st with
+  | STRING s ->
+    st.ready <- false;
+    s
+  | _ -> unexpected_here st ~expected:[ what ]
 
 let expect_kw st kw =
-  let p = next st in
-  match p.t with
-  | IDENT s when s = kw -> ()
-  | _ -> unexpected st p ~expected:[ Printf.sprintf "'%s'" kw ]
+  match peek st with
+  | IDENT s when s = kw -> st.ready <- false
+  | _ -> unexpected_here st ~expected:[ Printf.sprintf "'%s'" kw ]
 
 (* rK / BK / mK / qK / iK ident forms. *)
 let indexed_of prefix s =
@@ -400,7 +453,7 @@ let parse_reg_list st ctx =
       | _ -> unexpected st q ~expected:[ "a register (rN)" ])
     | _ -> unexpected st p ~expected:[ "','"; "']'" ]
   in
-  let p = peek st in
+  let p = here st in
   match p.t with
   | RBRACKET ->
     advance st;
@@ -412,18 +465,18 @@ let parse_reg_list st ctx =
 
 (* Does an instruction start here? (iN followed by ':') *)
 let at_instr st =
-  match (peek st).t with
+  match peek st with
   | IDENT s when iid_of s <> None -> true
   | _ -> false
 
 let at_block st =
-  match (peek st).t with
+  match peek st with
   | IDENT s when label_of s <> None -> true
   | _ -> false
 
 (* The whole `func ... { header, regions, entry, blocks }` section. *)
 let parse_func_section st =
-  let func_p = peek st in
+  let func_p = here st in
   expect_kw st "func";
   let name = expect_string st ~what:"the function name (a quoted string)" in
   expect_tok st LPAREN ~what:"'('";
@@ -456,7 +509,7 @@ let parse_func_section st =
   expect_tok st LBRACKET ~what:"'['";
   let regions = ref [] in
   (let rec go idx first =
-     let p = peek st in
+     let p = here st in
      match p.t with
      | RBRACKET -> advance st
      | COMMA when not first ->
@@ -488,7 +541,7 @@ let parse_func_section st =
   let blocks = Hashtbl.create 16 in
   let order = ref [] in
   if not (at_block st) then
-    unexpected st (peek st) ~expected:[ "a block (BN:)" ];
+    unexpected_here st ~expected:[ "a block (BN:)" ];
   while at_block st do
     let lp = next st in
     let label =
@@ -501,7 +554,7 @@ let parse_func_section st =
     let body = ref [] in
     let terminated = ref false in
     while at_instr st do
-      let ip = peek st in
+      let ip = here st in
       if !terminated then
         fail_at st ip "instruction after the terminator of block B%d" label;
       let id = parse_iid st ctx in
@@ -551,10 +604,10 @@ let parse_input_block st ctx =
   expect_tok st LBRACE ~what:"'{'";
   let regs = ref [] and mem = ref [] in
   let rec go () =
-    let p = next st in
-    match p.t with
-    | RBRACE -> ()
+    match peek st with
+    | RBRACE -> advance st
     | IDENT "mem" ->
+      advance st;
       expect_tok st LBRACKET ~what:"'['";
       let addr = expect_int st ~what:"an address" in
       expect_tok st RBRACKET ~what:"']'";
@@ -563,13 +616,13 @@ let parse_input_block st ctx =
       mem := (addr, v) :: !mem;
       go ()
     | IDENT s when reg_of s <> None ->
-      let r = check_reg st ctx p (Option.get (reg_of s)) in
+      let r = check_reg st ctx (next st) (Option.get (reg_of s)) in
       expect_tok st EQUALS ~what:"'='";
       let v = expect_int st ~what:"a value" in
       regs := (r, v) :: !regs;
       go ()
     | _ ->
-      unexpected st p
+      unexpected_here st
         ~expected:[ "a register binding (rN = V)"; "mem[A] = V"; "'}'" ]
   in
   go ();
@@ -605,7 +658,7 @@ let parse_document st =
     | None -> Some v
   in
   let rec directives () =
-    let p = peek st in
+    let p = here st in
     match p.t with
     | IDENT "workload" ->
       advance st;
@@ -656,7 +709,7 @@ let parse_document st =
   let f, ctx = parse_func_section st in
   let train = ref None and reference = ref None in
   let rec inputs () =
-    let p = peek st in
+    let p = here st in
     match p.t with
     | IDENT "input" ->
       advance st;
@@ -696,16 +749,29 @@ let parse_document st =
 (* --------------------------- entry points ------------------------- *)
 
 let with_state ~file src k =
-  match k { file; toks = tokenize ~file src; pos = 0 } with
+  let st =
+    {
+      file;
+      src;
+      i = 0;
+      line = 1;
+      bol = 0;
+      tok = EOF;
+      tline = 1;
+      tcol = 1;
+      ready = false;
+    }
+  in
+  match k st with
   | v -> Ok v
   | exception Error e -> Error e
 
 let parse_func ?(file = "<string>") src =
   with_state ~file src (fun st ->
       let f, _ = parse_func_section st in
-      (match (peek st).t with
+      (match peek st with
       | EOF -> ()
-      | _ -> unexpected st (peek st) ~expected:[ "end of input" ]);
+      | _ -> unexpected_here st ~expected:[ "end of input" ]);
       f)
 
 (* Like {!parse}, but also return the instruction-id -> (line, col) map

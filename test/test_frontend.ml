@@ -31,6 +31,12 @@ let check_error name src expected =
       | Error e ->
         Alcotest.(check string) name expected (Text.render_error e))
 
+let bad_opcode =
+  "t.gmt:5:12: unknown opcode 'frobnicate' (expected an integer, a \
+   register, 'load', a unary op (neg/not/abs/fneg/fsqrt) or a binary op \
+   (add/sub/mul/div/rem/and/or/xor/shl/shr/lt/le/eq/ne/gt/ge/min/max/\
+   fadd/fsub/fmul/fdiv/fmin/fmax))"
+
 let golden_errors =
   [
     check_error "bad opcode"
@@ -44,10 +50,7 @@ let golden_errors =
            "  i1: return";
            "";
          ])
-      "t.gmt:5:12: unknown opcode 'frobnicate' (expected an integer, a \
-       register, 'load', a unary op (neg/not/abs/fneg/fsqrt) or a binary op \
-       (add/sub/mul/div/rem/and/or/xor/shl/shr/lt/le/eq/ne/gt/ge/min/max/\
-       fadd/fsub/fmul/fdiv/fmin/fmax))";
+      bad_opcode;
     check_error "undefined label"
       (String.concat "\n"
          [
@@ -124,6 +127,15 @@ let lexer_errors =
     check_error "unexpected byte"
       (func_with [ "  i0: r1 = add r0, \xc3\xa9"; "  i1: return"; "" ])
       "t.gmt:5:20: unexpected character '\\195'";
+    (* The parser pulls each token when it gets to it, so a lexical
+       error further on does not pre-empt a syntax error before it. *)
+    check_error "first error in source order"
+      (func_with
+         [
+           "  i0: r1 = frobnicate r0, r0"; "  i1: jump B1"; "B1:";
+           "  i2: r2 = add r1, r1"; "  i3: return \"open";
+         ])
+      bad_opcode;
   ]
 
 (* The literals a hand-rolled scanner gets wrong: both ends of the
@@ -437,6 +449,35 @@ let prop_byte_edits =
         && e.Text.col >= 1
         && e.Text.col <= String.length lines.(e.Text.line - 1) + 1)
 
+(* ------------------------ allocation budget ----------------------- *)
+
+(* Bytes allocated by [f], counted exactly: the minor heap's words plus
+   the words allocated straight into the major heap (major minus
+   promoted). *)
+let allocated_bytes f =
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  float_of_int (Sys.word_size / 8)
+  *. (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* Parsing the largest corpus file allocates a bounded multiple of its
+   size: the tokens are pulled one at a time, so what remains is the
+   parsed workload and one token's boxes at a time. It measured 6.84x
+   (the token-array parser 35.5x); the bound leaves 10%. *)
+let test_parse_allocation () =
+  let text = Text.print (Suite.find "177.mesa") in
+  let ratio =
+    allocated_bytes (fun () -> Text.parse text)
+    /. float_of_int (String.length text)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "parsing 177.mesa (%d bytes) allocates %.2fx (<= 7.5x)"
+       (String.length text) ratio)
+    true (ratio <= 7.5)
+
 let tests =
   golden_errors @ lexer_errors @ document_errors
   @ [
@@ -444,6 +485,8 @@ let tests =
       Alcotest.test_case "parse_pos matches the text" `Quick
         test_parse_pos_matches_text;
       QCheck_alcotest.to_alcotest prop_byte_edits;
+      Alcotest.test_case "parse allocation budget" `Quick
+        test_parse_allocation;
       Alcotest.test_case "canonical print round-trips" `Quick
         test_golden_roundtrip;
       QCheck_alcotest.to_alcotest prop_roundtrip;
