@@ -78,13 +78,20 @@ let technique_of_name = function
 let cell_label name technique coco =
   Printf.sprintf "%s/%s" name (V.cell_name (V.Mt (technique, coco)))
 
-let parse_failure ~cache_status e =
-  {
-    out = "";
-    err = Printf.sprintf "gmtc: %s\n" (Text.render_error e);
-    code = exit_parse;
-    cache_status;
-  }
+let parse_text ~cache_status text =
+  match
+    Obs.span ~cat:"stage" "req.parse" (fun () ->
+        Text.parse ~file:"<request>" text)
+  with
+  | Ok w -> Ok w
+  | Error e ->
+    Error
+      {
+        out = "";
+        err = Printf.sprintf "gmtc: %s\n" (Text.render_error e);
+        code = exit_parse;
+        cache_status;
+      }
 
 let fingerprint ?(n_threads = 2) ?(coco = false) technique ~canonical =
   let mc = V.machine_config ~n_cores:(max 2 n_threads) technique in
@@ -251,8 +258,8 @@ let run_recorded ?cache ?fuel ~technique ~coco ~threads r text =
   | Some e -> cell "hit" (fun () -> e.Cache.mtp)
   | None -> (
     let cache_status = if cache = None then "none" else "miss" in
-    match Text.parse ~file:"<request>" text with
-    | Error e -> parse_failure ~cache_status e
+    match parse_text ~cache_status text with
+    | Error o -> o
     | Ok w ->
       cell cache_status (fun () ->
           compile_run ?cache ~technique ~coco ~threads w))
@@ -263,8 +270,8 @@ let run_text ?cache ?fuel ?reference ?remember ~technique ~coco ~threads text
   | Some r when applies ?fuel r ->
     run_recorded ?cache ?fuel ~technique ~coco ~threads r text
   | _ -> (
-    match Text.parse ~file:"<request>" text with
-    | Error e -> parse_failure ~cache_status:"none" e
+    match parse_text ~cache_status:"none" text with
+    | Error o -> o
     | Ok w ->
       run_workload ?cache ?fuel ?remember ~technique ~coco ~threads w)
 
@@ -328,9 +335,10 @@ let check_text ?cache ~technique ~coco ~threads text =
       ~label:(cell_label e.Cache.w_name technique coco)
       ~threads ~cache_status:"hit" e
   | None -> (
-    match Text.parse ~file:"<request>" text with
-    | Error e ->
-      parse_failure ~cache_status:(if cache = None then "none" else "miss") e
+    match
+      parse_text ~cache_status:(if cache = None then "none" else "miss") text
+    with
+    | Error o -> o
     | Ok w -> check_miss ?cache ~technique ~coco ~threads w)
 
 (* ------------------------------ sweep ------------------------------ *)

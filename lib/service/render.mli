@@ -48,6 +48,15 @@ type outcome = {
 val fingerprint :
   ?n_threads:int -> ?coco:bool -> V.technique -> canonical:string -> string
 
+(** [parse_text ~cache_status text] parses a request's GMT-IR text in
+    the [req.parse] stage. A parse error becomes the outcome offline
+    [gmtc] gives a broken [.gmt] file: its [file:line:col] message
+    (the file named [<request>]) with {!exit_parse} and [cache_status].
+    {!run_text}, {!check_text} and the daemon's [sweep] parse through
+    it. *)
+val parse_text :
+  cache_status:string -> string -> (Workload.t, outcome) result
+
 (** {2 The artifact cache}
 
     This module is the cache's one owner. A {!run_text} or

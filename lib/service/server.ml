@@ -2,7 +2,6 @@ module Json = Gmt_obs.Json
 module Obs = Gmt_obs.Obs
 module Cache = Gmt_cache.Cache
 module Pool = Gmt_parallel.Pool
-module Text = Gmt_frontend.Text
 module V = Gmt_core.Velocity
 module Registry = Gmt_telemetry.Registry
 module Histogram = Gmt_telemetry.Histogram
@@ -331,10 +330,8 @@ let serve t { job; fuel } key payload =
   let fuel = effective_fuel t.cfg fuel in
   match job with
   | Sweep max_threads -> (
-    match Text.parse ~file:"<request>" payload with
-    | Error e ->
-      outcome_err ~code:Render.exit_parse
-        (Printf.sprintf "gmtc: %s\n" (Text.render_error e))
+    match Render.parse_text ~cache_status:"none" payload with
+    | Error o -> o
     | Ok w -> Render.sweep ~jobs:1 ?fuel ~max_threads w)
   | Check c ->
     Render.check_text ~cache:(t.cache, key) ~technique:c.technique

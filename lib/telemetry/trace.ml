@@ -14,8 +14,8 @@ let genid () =
 
 let stage_names =
   [|
-    "req.decode"; "req.fingerprint"; "req.cache.lookup"; "req.compile";
-    "req.verify"; "req.simulate"; "req.encode";
+    "req.decode"; "req.fingerprint"; "req.cache.lookup"; "req.parse";
+    "req.compile"; "req.verify"; "req.simulate"; "req.encode";
   |]
 
 let arg_to_json = function

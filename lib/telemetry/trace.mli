@@ -17,9 +17,11 @@
 val genid : unit -> string
 
 (** The canonical per-request server stage names, in pipeline order:
-    decode, fingerprint, cache lookup, compile, verify, simulate,
-    encode. Spans with these names are what the stats plane's per-stage
-    histograms aggregate and what the traced-request test asserts. *)
+    decode, fingerprint, cache lookup, parse, compile, verify, simulate,
+    encode. Only a request that needs the program parses it: a cache
+    miss, a sweep, or a run without a reference record. Spans with
+    these names are what the stats plane's per-stage histograms
+    aggregate and what the traced-request test asserts. *)
 val stage_names : string array
 
 val span_to_json : Gmt_obs.Obs.span -> Gmt_obs.Json.t

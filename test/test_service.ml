@@ -452,7 +452,7 @@ let test_traced_request () =
          spans)
   in
   (* A cold run covers the whole pipeline: decode, fingerprint, cache
-     lookup, compile, verify, simulate, encode. *)
+     lookup, parse, compile, verify, simulate, encode. *)
   Alcotest.(check bool)
     (Printf.sprintf "at least 6 stages (got %s)"
        (String.concat "," stage_names))
@@ -492,6 +492,8 @@ let test_traced_request () =
     (List.length (named "sim.run" warm));
   Alcotest.(check int) "warm run: one req.cache.lookup span" 1
     (List.length (named "req.cache.lookup" warm));
+  Alcotest.(check int) "warm run: no req.parse span" 0
+    (List.length (named "req.parse" warm));
   (* One digest per request: a cold check (a cell the run above did not
      store) carries exactly one fingerprint span, and a warm check of
      the largest kernel allocates about one copy of its payload — the
@@ -512,10 +514,14 @@ let test_traced_request () =
   Alcotest.(check string) "check is cold" "miss" status;
   Alcotest.(check int) "cold check: one req.fingerprint span" 1
     (List.length (named "req.fingerprint" cold));
+  Alcotest.(check int) "cold check: one req.parse span" 1
+    (List.length (named "req.parse" cold));
   let mesa = Text.print (workload "177.mesa") in
   ignore (traced_check ~technique:"gremio" mesa);
   let status, warm = traced_check ~technique:"gremio" mesa in
   Alcotest.(check string) "mesa check is warm" "hit" status;
+  Alcotest.(check int) "warm check: no req.parse span" 0
+    (List.length (named "req.parse" warm));
   (match named "serve.check" warm with
   | [ serve ] ->
     let ratio = serve.Obs.alloc_bytes /. float_of_int (String.length mesa) in
