@@ -120,6 +120,10 @@ type req = { body : Json.t; payload : string }
    and before a reply frame arrived — the daemon may or may not have
    seen the request. *)
 let attempt ep { body; payload } =
+  (* As in the daemon, SIGPIPE is ignored: a write to a daemon that has
+     already hung up must raise EPIPE below, where its reply is still
+     read, instead of killing the client. *)
+  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match connect_endpoint ep with
   | Error `No_daemon -> Error `No_daemon
   | Ok fd ->

@@ -43,7 +43,10 @@ type req = { body : Gmt_obs.Json.t; payload : string }
     request was written (daemon restart, crash) is retried exactly once
     on a fresh connection after a short backoff, and reported as a
     [`Protocol] error if lost again — never a silent second compile.
-    [socket] may be a Unix path or [host:port]. *)
+    [socket] may be a Unix path or [host:port]. The calling process
+    ignores SIGPIPE from its first request on, as {!Server.start} does:
+    a busy daemon hangs up without reading the request, and the busy
+    reply it sent first is read after the write fails with EPIPE. *)
 val rpc : socket:string -> req -> (Gmt_obs.Json.t, [> error ]) result
 
 (** {2 Request builders} *)
