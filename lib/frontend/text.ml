@@ -107,7 +107,8 @@ let lex_int st ~at ~d =
     let s = String.sub src at (j - at) in
     match int_of_string_opt s with
     | Some v -> emit st (INT v) j
-    | None -> lex_error st at (Printf.sprintf "integer literal %s out of range" s)
+    | None ->
+      lex_error st at (Printf.sprintf "integer literal %s out of range" s)
 
 (* The string literal opening at [at]: the inverse of
    Printer.escape_string. *)
@@ -121,7 +122,8 @@ let lex_string st ~at =
       match src.[i] with
       | '"' -> emit st (STRING (Buffer.contents buf)) (i + 1)
       | '\\' ->
-        if i + 1 >= n then lex_error st i "unterminated escape in string literal";
+        if i + 1 >= n then
+          lex_error st i "unterminated escape in string literal";
         let esc c =
           Buffer.add_char buf c;
           go (i + 2)
@@ -140,7 +142,8 @@ let lex_string st ~at =
           | None ->
             lex_error st i (Printf.sprintf "invalid \\x escape \"\\x%s\"" hex));
           go (i + 4)
-        | c -> lex_error st i (Printf.sprintf "unknown escape '\\%c' in string" c))
+        | c ->
+          lex_error st i (Printf.sprintf "unknown escape '\\%c' in string" c))
       | '\n' -> lex_error st i "newline in string literal (use \\n)"
       | c ->
         Buffer.add_char buf c;

@@ -15,13 +15,12 @@
 
     Every syntax or consistency error carries a precise [file:line:col]
     position and, for unexpected tokens, the set of tokens that would
-    have been accepted. No token array is built: the lexer reads the
-    next token only when the parser asks for it, so a parse allocates
-    little beyond its result, and the error reported is the first the
-    parser meets reading the text from the start (a lexical error
-    further on never pre-empts it). Checks that need a whole function
-    (undefined or missing labels, validation) run once its last block
-    is parsed. *)
+    have been accepted. The lexer reads the next token only when the
+    parser asks for it, so a parse allocates little beyond its result,
+    and the error reported is the first the parser meets reading the
+    text from the start (a lexical error further on never pre-empts
+    it). Checks that need a whole function (undefined or missing
+    labels, validation) run once its last block is parsed. *)
 
 open Gmt_ir
 module Workload = Gmt_workloads.Workload

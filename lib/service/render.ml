@@ -79,19 +79,15 @@ let cell_label name technique coco =
   Printf.sprintf "%s/%s" name (V.cell_name (V.Mt (technique, coco)))
 
 let parse_text ~cache_status text =
-  match
-    Obs.span ~cat:"stage" "req.parse" (fun () ->
-        Text.parse ~file:"<request>" text)
-  with
-  | Ok w -> Ok w
-  | Error e ->
-    Error
-      {
-        out = "";
-        err = Printf.sprintf "gmtc: %s\n" (Text.render_error e);
-        code = exit_parse;
-        cache_status;
-      }
+  Obs.span ~cat:"stage" "req.parse" (fun () ->
+      Text.parse ~file:"<request>" text)
+  |> Result.map_error (fun e ->
+         {
+           out = "";
+           err = Printf.sprintf "gmtc: %s\n" (Text.render_error e);
+           code = exit_parse;
+           cache_status;
+         })
 
 let fingerprint ?(n_threads = 2) ?(coco = false) technique ~canonical =
   let mc = V.machine_config ~n_cores:(max 2 n_threads) technique in

@@ -16,12 +16,14 @@
 (** Fresh, effectively unique id: 16 lowercase hex chars. *)
 val genid : unit -> string
 
-(** The canonical per-request server stage names, in pipeline order:
-    decode, fingerprint, cache lookup, parse, compile, verify, simulate,
-    encode. Only a request that needs the program parses it: a cache
-    miss, a sweep, or a run without a reference record. Spans with
-    these names are what the stats plane's per-stage histograms
-    aggregate and what the traced-request test asserts. *)
+(** The canonical per-request server stage names: decode,
+    fingerprint, cache lookup, parse, compile, verify, simulate,
+    encode. Only a request that needs its program parses it: a sweep,
+    a check that misses the cache, a run whose cell has a reference
+    record but no cached artifact, and a run without a record (which
+    parses before its cache lookup). Spans with these names are what
+    the stats plane's per-stage histograms aggregate and what the
+    traced-request test asserts. *)
 val stage_names : string array
 
 val span_to_json : Gmt_obs.Obs.span -> Gmt_obs.Json.t

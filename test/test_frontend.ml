@@ -392,7 +392,8 @@ let ks_text = lazy (Text.print (Suite.find "ks"))
 let apply_edit src = function
   | Insert (p, c) ->
     let p = p mod (String.length src + 1) in
-    String.sub src 0 p ^ String.make 1 c ^ String.sub src p (String.length src - p)
+    String.sub src 0 p ^ String.make 1 c
+    ^ String.sub src p (String.length src - p)
   | Delete p when src <> "" ->
     let p = p mod String.length src in
     String.sub src 0 p ^ String.sub src (p + 1) (String.length src - p - 1)
@@ -412,7 +413,9 @@ let arbitrary_edits =
     frequency
       [
         (3, oneofl (List.init 10 (fun d -> Char.chr (48 + d))));
-        (3, oneofl (List.of_seq (String.to_seq "\"\\-#[]{}():,=?+_.xnrtmBiq \n")));
+        ( 3,
+          oneofl
+            (List.of_seq (String.to_seq "\"\\-#[]{}():,=?+_.xnrtmBiq \n")) );
         (1, map Char.chr (int_range 0 255));
       ]
   in
